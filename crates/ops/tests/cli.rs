@@ -12,8 +12,13 @@ fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-fn scratch_journal() -> PathBuf {
-    let path = std::env::temp_dir().join(format!("siterec_ops_cli_{}.jsonl", std::process::id()));
+/// Writes the sample journal to a file of its own per test: tests run in
+/// parallel, and one test's cleanup must not delete another's input.
+fn scratch_journal(test: &str) -> PathBuf {
+    let path = std::env::temp_dir().join(format!(
+        "siterec_ops_cli_{test}_{}.jsonl",
+        std::process::id()
+    ));
     let journal = concat!(
         "{\"type\":\"run_start\",\"name\":\"cli\"}\n",
         "{\"type\":\"span\",\"name\":\"train\",\"path\":\"train\",\"start_ns\":0,\"tid\":0,\"dur_ns\":5000}\n",
@@ -37,7 +42,7 @@ fn run_ok(args: &[&str]) -> String {
 
 #[test]
 fn summary_query_flame_and_trace_over_a_journal() {
-    let journal = scratch_journal();
+    let journal = scratch_journal("summary");
     let jpath = journal.to_str().unwrap();
 
     let summary = run_ok(&["summary", jpath]);
@@ -97,7 +102,7 @@ fn summary_query_flame_and_trace_over_a_journal() {
 
 #[test]
 fn diff_reports_journal_deltas() {
-    let a = scratch_journal();
+    let a = scratch_journal("diff");
     let b = a.with_extension("b.jsonl");
     let mut text = std::fs::read_to_string(&a).unwrap();
     text.push_str("{\"type\":\"counter\",\"name\":\"serve.shed\",\"value\":9}\n");
