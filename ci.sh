@@ -67,7 +67,8 @@ SITEREC_NO_SIMD=1 SITEREC_KERNEL_GATE=1 \
     cargo bench -q -p siterec-bench --bench perf_kernels >/dev/null
 mv target/ci_simd_kernels.json BENCH_kernels.json
 run env SITEREC_NO_SIMD=1 cargo test -q --release -p siterec-tensor \
-    --test kernel_equivalence --test parallel_equivalence
+    --test kernel_equivalence --test parallel_equivalence \
+    --test edge_attention_equivalence
 # Multicore no-slowdown floor: at no thread count may any kernel run slower
 # than serial. Armed only on >=2-core hosts (SITEREC_PARALLEL_GATE=1 exits
 # non-zero on an armed failure); on a 1-core host the artifact records the

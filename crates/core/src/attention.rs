@@ -11,6 +11,9 @@
 //! * messages are the attention-weighted sums of keys, concatenated over
 //!   heads and passed through the activation (Eq. 12).
 //!
+//! Scores, softmax and aggregation for all heads run as one tape op,
+//! [`Graph::edge_attention`].
+//!
 //! The `w/o NA` ablation replaces all of this with a plain neighborhood mean
 //! of source embeddings ([`RelationAttention::forward_mean`]).
 
@@ -28,7 +31,6 @@ pub struct RelationAttention {
     /// Edge-type bilinear `W_e`, stored stacked: `(heads·head_dim) x head_dim`.
     pub w_e: ParamId,
     heads: usize,
-    head_dim: usize,
     d: usize,
 }
 
@@ -55,7 +57,6 @@ impl RelationAttention {
                 Init::XavierUniform,
             ),
             heads,
-            head_dim,
             d,
         }
     }
@@ -94,22 +95,11 @@ impl RelationAttention {
         let q_nodes = self.w_q.forward(g, binds, dst_emb); // n_dst x d
         let q_all = g.gather_rows(q_nodes, dsts); // E x d
 
+        // Eqs. 11-12 for all heads in one tape op: bilinear scores
+        // K W_e Qᵀ, LeakyReLU, softmax over each destination's in-edges,
+        // α-weighted key sums, ReLU, heads side by side.
         let w_e = binds.var(self.w_e);
-        let mut head_outs = Vec::with_capacity(self.heads);
-        for i in 0..self.heads {
-            let k_i = g.slice_cols(k_all, i * self.head_dim, self.head_dim);
-            let q_i = g.slice_cols(q_all, i * self.head_dim, self.head_dim);
-            let we_rows: Vec<usize> = (i * self.head_dim..(i + 1) * self.head_dim).collect();
-            let w_e_i = g.gather_rows(w_e, &we_rows); // head_dim x head_dim
-            let kw = g.matmul(k_i, w_e_i); // E x head_dim
-            let raw = g.row_dot(kw, q_i); // E x 1, K W_e Qᵀ per edge
-            let score = g.leaky_relu(raw, 0.2); // σ(·) before softmax (Eq. 11)
-            let alpha = g.segment_softmax(dsts, score);
-            let weighted = g.mul_col_broadcast(k_i, alpha);
-            let agg = g.segment_sum(weighted, dsts, n_dst);
-            head_outs.push(g.relu(agg)); // σ(Σ K α), Eq. 12
-        }
-        g.concat_cols(&head_outs)
+        g.edge_attention(k_all, q_all, w_e, dsts, self.heads, n_dst)
     }
 
     /// Mean aggregation (the `w/o NA` variant): ignores attributes, edge

@@ -452,7 +452,11 @@ impl HeteroModel {
 
             // Step 3: l rounds of node-level aggregation (Eqs. 7-9).
             let (mut h, mut z, mut q) = (h0, z0, q0);
-            for layer in &self.layers {
+            for (li, layer) in self.layers.iter().enumerate() {
+                // Only h and q leave the loop, so the last layer's U-A
+                // update (Aggre_UA and Eq. 8) would be dead tape: it feeds
+                // nothing, receives no gradient and draws no randomness.
+                let last = li + 1 == self.layers.len();
                 let agg_su = if mean_agg {
                     layer
                         .su
@@ -485,22 +489,24 @@ impl HeteroModel {
                         n_s,
                     )
                 };
-                let agg_ua = if mean_agg {
-                    layer
-                        .ua
-                        .forward_mean(g, q, &ps_struct.ua_srcs, &ps_struct.ua_dsts, n_u)
-                } else {
-                    layer.ua.forward(
-                        g,
-                        binds,
-                        q,
-                        z,
-                        &ps_struct.ua_srcs,
-                        &ps_struct.ua_dsts,
-                        ua_attr,
-                        n_u,
-                    )
-                };
+                let agg_ua = (!last).then(|| {
+                    if mean_agg {
+                        layer
+                            .ua
+                            .forward_mean(g, q, &ps_struct.ua_srcs, &ps_struct.ua_dsts, n_u)
+                    } else {
+                        layer.ua.forward(
+                            g,
+                            binds,
+                            q,
+                            z,
+                            &ps_struct.ua_srcs,
+                            &ps_struct.ua_dsts,
+                            ua_attr,
+                            n_u,
+                        )
+                    }
+                });
                 let agg_as = if mean_agg {
                     layer
                         .sa_to_a
@@ -523,15 +529,16 @@ impl HeteroModel {
                 let s_lin = layer.w_s.forward(g, binds, s_sum);
                 let h_next = g.relu(s_lin);
                 // Eq. 8: z^l = σ(W_U (Aggre_UA + z^{l-1}))
-                let u_sum = g.add(agg_ua, z);
-                let u_lin = layer.w_u.forward(g, binds, u_sum);
-                let z_next = g.relu(u_lin);
+                if let Some(agg_ua) = agg_ua {
+                    let u_sum = g.add(agg_ua, z);
+                    let u_lin = layer.w_u.forward(g, binds, u_sum);
+                    z = g.relu(u_lin);
+                }
                 // Eq. 9: q^l = σ(W_A (Aggre_AS + q^{l-1}))
                 let a_sum = g.add(agg_as, q);
                 let a_lin = layer.w_a.forward(g, binds, a_sum);
                 let q_next = g.relu(a_lin);
                 h = h_next;
-                z = z_next;
                 q = q_next;
             }
 

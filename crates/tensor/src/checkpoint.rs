@@ -188,9 +188,7 @@ fn section(out: &mut Writer, name: &str, payload: &[u8]) {
     out.u64(payload.len() as u64);
     out.u32(crc32(payload));
     // Raw append: the length prefix above already delimits the payload.
-    for &b in payload {
-        out.u8(b);
-    }
+    out.raw(payload);
 }
 
 /// Encode a [`TrainState`] into the version-1 checkpoint byte format.
@@ -226,9 +224,7 @@ pub fn encode_state(state: &TrainState) -> Vec<u8> {
     ];
 
     let mut out = Writer::new();
-    for &b in MAGIC {
-        out.u8(b);
-    }
+    out.raw(MAGIC);
     out.u32(VERSION);
     out.u32(sections.len() as u32);
     for (name, payload) in sections {
@@ -507,6 +503,59 @@ mod tests {
         // Re-encoding must reproduce the identical bytes (deep equality of
         // opt and guard included).
         assert_eq!(encode_state(a), encode_state(b));
+    }
+
+    /// FNV-1a-64 and length of `encode_state(&seeded_state())` as the
+    /// byte-at-a-time encoder wrote it (a bytewise CRC32, one `f32` write
+    /// per tensor element, one push per section byte), recorded before the
+    /// bulk paths replaced it.
+    const BYTEWISE_ENCODER_FNV: u64 = 0xfc86_9134_ec48_162c;
+    const BYTEWISE_ENCODER_LEN: usize = 37_010;
+
+    /// A state with enough tensors, moments and guard snapshots to exercise
+    /// every section, every value seeded.
+    fn seeded_state() -> TrainState {
+        use crate::optim::Optimizer;
+        let mut ps = ParamStore::new(2022);
+        ps.add("emb", 37, 16, Init::XavierUniform);
+        ps.add("w", 16, 9, Init::XavierUniform);
+        ps.add("b", 1, 9, Init::Zeros);
+        let mut opt = Adam::new(0.01);
+        for step in 0..3 {
+            for (i, p) in ps.iter_mut().enumerate() {
+                for (j, g) in p.grad.data_mut().iter_mut().enumerate() {
+                    *g = ((step * 977 + i * 31 + j) as f32).sin();
+                }
+            }
+            opt.step(&mut ps);
+        }
+        let guard = TrainGuard::new(GuardConfig::default(), &ps, &opt);
+        TrainState {
+            model: "seeded".into(),
+            seed: 2022,
+            next_epoch: 3,
+            params: ps,
+            opt,
+            guard,
+            user: (0..=255u8).collect(),
+        }
+    }
+
+    #[test]
+    fn encoding_is_byte_identical_to_the_bytewise_encoder() {
+        let bytes = encode_state(&seeded_state());
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &b in &bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        assert_eq!(
+            (format!("{h:#018x}"), bytes.len()),
+            (
+                format!("{BYTEWISE_ENCODER_FNV:#018x}"),
+                BYTEWISE_ENCODER_LEN
+            )
+        );
     }
 
     #[test]

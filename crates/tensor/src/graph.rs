@@ -77,7 +77,42 @@ enum Op {
     MseLoss(Var, Tensor),
     /// Mean absolute error against a constant target.
     L1Loss(Var, Tensor),
+    /// Fused multi-head edge attention (see [`Graph::edge_attention`]).
+    EdgeAttention(Box<EdgeAttn>),
 }
+
+/// Parents and saved forward state of one [`Graph::edge_attention`] node.
+/// Per-head buffers are head-major: head `h` owns one contiguous block.
+#[derive(Clone)]
+struct EdgeAttn {
+    k: Var,
+    q: Var,
+    w_e: Var,
+    dsts: Arc<Vec<usize>>,
+    heads: usize,
+    /// `K_h W_e^h` per head: `heads` blocks of `E x head_dim`.
+    kw: Tensor,
+    /// Bilinear scores before the LeakyReLU: `heads x E`.
+    raw: Tensor,
+    /// Attention weights α: `heads x E`.
+    alpha: Tensor,
+}
+
+impl std::fmt::Debug for EdgeAttn {
+    // Names the parents only: the saved buffers are E-sized and would
+    // swamp a fault message.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EdgeAttn")
+            .field("k", &self.k)
+            .field("q", &self.q)
+            .field("w_e", &self.w_e)
+            .field("heads", &self.heads)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Negative slope of the LeakyReLU on attention scores (Eq. 11).
+const SCORE_SLOPE: f32 = 0.2;
 
 /// Stable profiling key for an op (used by the opt-in tape profile).
 fn op_kind(op: &Op) -> &'static str {
@@ -110,6 +145,7 @@ fn op_kind(op: &Op) -> &'static str {
         Op::Dropout(..) => "dropout",
         Op::MseLoss(..) => "mse_loss",
         Op::L1Loss(..) => "l1_loss",
+        Op::EdgeAttention(..) => "edge_attention",
     }
 }
 
@@ -520,60 +556,25 @@ impl Graph {
         assert_eq!(av.cols(), 1, "segment_softmax expects an E x 1 column");
         assert_eq!(av.rows(), scores.len(), "segment_softmax length mismatch");
         let n_seg = scores.iter().copied().max().map_or(0, |m| m + 1);
-        // Four passes, each bitwise deterministic for any thread count:
-        //
-        //   1. per-segment max (CSR members ascending, scalar gathers);
-        //   2. e_i = exp_det(x_i - max[seg_i]) over the contiguous score
-        //      column — the hot pass, vectorized in kernels.rs (the scalar
-        //      and SIMD exp produce identical bits per element, so block
-        //      boundaries never show);
-        //   3. per-segment sum of e in ascending member order — the exact
-        //      per-element order of the serial scatter loop;
-        //   4. normalize e in place by the gathered segment sum.
-        //
-        // The exp is computed once per edge (the old two-pass form computed
-        // it twice) and is `simd::exp_det`, not libm's: bit-different from
-        // pre-SIMD artifacts in the last mantissa bits, identical across
-        // scalar/SIMD hosts and thread counts (the contract that matters).
+        // The four passes are documented on `softmax_column`.
         let csr = memo::csr_for(&seg, n_seg);
-        let per_seg = (2 * scores.len() / n_seg.max(1)).max(1) * 8;
         let mut seg_max = match &self.arena {
             Some(ar) => ar.lease_f32(n_seg),
             None => vec![0.0f32; n_seg],
         };
-        let x = av.data();
-        parallel::for_each_row_block_mut(&mut seg_max, 1, per_seg, |s0, block| {
-            for (bs, st) in block.iter_mut().enumerate() {
-                let members = &csr.order[csr.offsets[s0 + bs]..csr.offsets[s0 + bs + 1]];
-                let mut m = f32::NEG_INFINITY;
-                for &i in members {
-                    m = m.max(x[i]);
-                }
-                *st = m;
-            }
-        });
-        let mut out = lease_zeros(&self.arena, av.rows(), 1);
-        parallel::for_each_row_block_mut(out.data_mut(), 1, 32, |i0, block| {
-            kernels::softmax_exp_block(block, i0, x, &seg, &seg_max);
-        });
         let mut seg_sum = match &self.arena {
             Some(ar) => ar.lease_f32(n_seg),
             None => vec![0.0f32; n_seg],
         };
-        let e = out.data();
-        parallel::for_each_row_block_mut(&mut seg_sum, 1, per_seg, |s0, block| {
-            for (bs, st) in block.iter_mut().enumerate() {
-                let members = &csr.order[csr.offsets[s0 + bs]..csr.offsets[s0 + bs + 1]];
-                let mut sum = 0.0;
-                for &i in members {
-                    sum += e[i];
-                }
-                *st = sum;
-            }
-        });
-        parallel::for_each_row_block_mut(out.data_mut(), 1, 16, |i0, block| {
-            kernels::softmax_div_block(block, i0, &seg, &seg_sum);
-        });
+        let mut out = lease_zeros(&self.arena, av.rows(), 1);
+        softmax_column(
+            av.data(),
+            &seg,
+            &csr,
+            &mut seg_max,
+            &mut seg_sum,
+            out.data_mut(),
+        );
         if let Some(ar) = &self.arena {
             ar.recycle_f32(seg_max);
             ar.recycle_f32(seg_sum);
@@ -691,6 +692,151 @@ impl Graph {
         }
         let ng = self.needs(a);
         self.push(out, Op::SliceCols(a, start, len), ng)
+    }
+
+    // ---- fused attention ------------------------------------------------
+
+    /// Multi-head edge attention over one relation's edge list (the
+    /// node-level `Aggre` of Eqs. 11–12), as a single tape node.
+    ///
+    /// * `k_all`, `q_all`: `E x (heads·head_dim)` per-edge keys and queries,
+    ///   head `h` in columns `h·head_dim ..`;
+    /// * `w_e`: the stacked bilinear `(heads·head_dim) x head_dim`, head
+    ///   `h` in rows `h·head_dim ..`;
+    /// * `dsts`: each edge's destination (`< n_dst`).
+    ///
+    /// Per head `h` and edge `i`: score `s = LeakyReLU_0.2(K_h[i] W_e^h ·
+    /// Q_h[i])`, `α = softmax(s)` over each destination's in-edges, and
+    /// destination `t` receives `ReLU(Σ_{i→t} α_i K_h[i])` in columns
+    /// `h·head_dim ..` of the `n_dst x (heads·head_dim)` result.
+    ///
+    /// Bit-identical to composing the per-head chain `slice_cols` →
+    /// `gather_rows` (of `W_e`) → `matmul` → `row_dot` → `leaky_relu` →
+    /// `segment_softmax` → `mul_col_broadcast` → `segment_sum` → `relu` →
+    /// `concat_cols`, value and every input gradient: each element comes
+    /// from the same operations in the same order, including the `+0.0`
+    /// the composed backward adds when it merges per-head gradients into
+    /// the stacked inputs (see `edge_attention_backward`). With debug
+    /// assertions on, the intermediate scores, α and pre-ReLU sums are
+    /// scanned for non-finite values like every composed op's output.
+    ///
+    /// # Panics
+    /// Panics on mismatched shapes or an out-of-range destination.
+    pub fn edge_attention(
+        &mut self,
+        k_all: Var,
+        q_all: Var,
+        w_e: Var,
+        dsts: &[usize],
+        heads: usize,
+        n_dst: usize,
+    ) -> Var {
+        let dsts = memo::intern_indices(dsts);
+        let (kv, qv, wv) = (self.value(k_all), self.value(q_all), self.value(w_e));
+        let (e, d) = kv.shape();
+        assert!(
+            heads > 0 && d % heads == 0,
+            "edge_attention: width {d} does not split into {heads} heads"
+        );
+        let hd = d / heads;
+        assert_eq!(qv.shape(), (e, d), "edge_attention: q shape");
+        assert_eq!(wv.shape(), (d, hd), "edge_attention: w_e shape");
+        assert_eq!(dsts.len(), e, "edge_attention: dsts length");
+        for &t in dsts.iter() {
+            assert!(t < n_dst, "edge_attention: destination {t} >= {n_dst}");
+        }
+        let csr = memo::csr_for(&dsts, n_dst);
+        let arena = &self.arena;
+
+        // kw_h = K_h W_e^h, one contiguous E x head_dim block per head.
+        let mut kw = lease_zeros(arena, heads * e, hd);
+        let mut k_h = lease_zeros(arena, e, hd);
+        for h in 0..heads {
+            head_cols_into(kv, h, &mut k_h);
+            kernels::matmul_into(
+                k_h.data(),
+                &wv.data()[h * hd * hd..(h + 1) * hd * hd],
+                &mut kw.data_mut()[h * e * hd..(h + 1) * e * hd],
+                e,
+                hd,
+                hd,
+            );
+        }
+        recycle(arena, k_h);
+
+        // raw[h][i] = kw_h[i] · Q_h[i] (row_dot's `Iterator::sum`).
+        let mut raw = lease_zeros(arena, heads, e);
+        let kw_d = kw.data();
+        parallel::for_each_row_block_mut(raw.data_mut(), 1, 2 * hd, |j0, block| {
+            for (bj, o) in block.iter_mut().enumerate() {
+                let (h, i) = ((j0 + bj) / e, (j0 + bj) % e);
+                *o = kw_d[(h * e + i) * hd..(h * e + i + 1) * hd]
+                    .iter()
+                    .zip(&qv.row_slice(i)[h * hd..(h + 1) * hd])
+                    .map(|(&x, &y)| x * y)
+                    .sum();
+            }
+        });
+
+        // α_h = segment softmax of LeakyReLU(raw_h), per head.
+        let mut score = lease_zeros(arena, heads, e);
+        raw.map_into(&mut score, |x| if x >= 0.0 { x } else { SCORE_SLOPE * x });
+        let mut alpha = lease_zeros(arena, heads, e);
+        let mut seg_max = lease_zeros(arena, n_dst, 1);
+        let mut seg_sum = lease_zeros(arena, n_dst, 1);
+        for (x, y) in score
+            .data()
+            .chunks(e.max(1))
+            .zip(alpha.data_mut().chunks_mut(e.max(1)))
+        {
+            softmax_column(x, &dsts, &csr, seg_max.data_mut(), seg_sum.data_mut(), y);
+        }
+        recycle(arena, score);
+        recycle(arena, seg_max);
+        recycle(arena, seg_sum);
+
+        // agg[t] = Σ_{i→t} K_h[i] α_h[i] in ascending edge order (the
+        // composed mul_col_broadcast + segment_sum), then ReLU.
+        let mut out = lease_zeros(arena, n_dst, d);
+        let al = alpha.data();
+        let per_row = (e * d / n_dst.max(1)).max(1);
+        parallel::for_each_row_block_mut(out.data_mut(), d, per_row, |t0, block| {
+            for (bt, acc) in block.chunks_mut(d).enumerate() {
+                let t = t0 + bt;
+                for &i in &csr.order[csr.offsets[t]..csr.offsets[t + 1]] {
+                    let k_row = kv.row_slice(i);
+                    for h in 0..heads {
+                        let a = al[h * e + i];
+                        let cols = h * hd..(h + 1) * hd;
+                        for (o, &x) in acc[cols.clone()].iter_mut().zip(&k_row[cols]) {
+                            *o += x * a;
+                        }
+                    }
+                }
+            }
+        });
+        // The composed chain's push scanned each of these outputs.
+        let fault = cfg!(debug_assertions) && self.fault.is_none() && {
+            [&kw, &raw, &alpha, &out].iter().any(|t| t.has_non_finite())
+        };
+        if fault {
+            self.note_fault(|| "non-finite value inside edge_attention".to_string());
+        }
+        for x in out.data_mut() {
+            *x = x.max(0.0);
+        }
+        let ng = self.needs(k_all) || self.needs(q_all) || self.needs(w_e);
+        let op = EdgeAttn {
+            k: k_all,
+            q: q_all,
+            w_e,
+            dsts,
+            heads,
+            kw,
+            raw,
+            alpha,
+        };
+        self.push(out, Op::EdgeAttention(Box::new(op)), ng)
     }
 
     // ---- reductions & losses -------------------------------------------
@@ -864,21 +1010,32 @@ impl Graph {
                     accumulate_grad(nodes, grads, arena, *a, ga);
                 }
                 Op::MatMul(a, b) => {
-                    // ga = g . b^T, gb = a^T . g — the transposes are leased
-                    // scratch, recycled immediately after the products.
+                    // ga = g . bᵀ through a leased (weight-sized) transpose;
+                    // gb = aᵀ . g read straight from `a`, with no transposed
+                    // copy of the activation. A product whose operand needs
+                    // no gradient is skipped: its contribution would be
+                    // dropped by `accumulate_grad` anyway.
                     let (av, bv) = (&nodes[a.0].value, &nodes[b.0].value);
-                    let mut bt = lease_zeros(arena, bv.cols(), bv.rows());
-                    bv.transpose_into(&mut bt);
-                    let mut ga = lease_zeros(arena, g.rows(), bt.cols());
-                    g.matmul_into(&bt, &mut ga);
-                    recycle(arena, bt);
-                    let mut at = lease_zeros(arena, av.cols(), av.rows());
-                    av.transpose_into(&mut at);
-                    let mut gb = lease_zeros(arena, at.rows(), g.cols());
-                    at.matmul_into(&g, &mut gb);
-                    recycle(arena, at);
-                    accumulate_grad(nodes, grads, arena, *a, ga);
-                    accumulate_grad(nodes, grads, arena, *b, gb);
+                    if nodes[a.0].needs_grad {
+                        let mut bt = lease_zeros(arena, bv.cols(), bv.rows());
+                        bv.transpose_into(&mut bt);
+                        let mut ga = lease_zeros(arena, g.rows(), bt.cols());
+                        g.matmul_into(&bt, &mut ga);
+                        recycle(arena, bt);
+                        accumulate_grad(nodes, grads, arena, *a, ga);
+                    }
+                    if nodes[b.0].needs_grad {
+                        let mut gb = lease_zeros(arena, av.cols(), g.cols());
+                        kernels::matmul_tn_into(
+                            av.data(),
+                            g.data(),
+                            gb.data_mut(),
+                            av.cols(),
+                            av.rows(),
+                            g.cols(),
+                        );
+                        accumulate_grad(nodes, grads, arena, *b, gb);
+                    }
                 }
                 Op::Transpose(a) => {
                     let mut ga = lease_zeros(arena, g.cols(), g.rows());
@@ -977,25 +1134,19 @@ impl Graph {
                     let y = &nodes[i].value;
                     let n_seg = segs.iter().copied().max().map_or(0, |m| m + 1);
                     let csr = memo::csr_for(segs, n_seg);
-                    let per_seg = (2 * segs.len() / n_seg.max(1)).max(1);
                     let mut seg_dot = match arena {
                         Some(ar) => ar.lease_f32(n_seg),
                         None => vec![0.0f32; n_seg],
                     };
-                    parallel::for_each_row_block_mut(&mut seg_dot, 1, per_seg, |s0, block| {
-                        for (bs, d) in block.iter_mut().enumerate() {
-                            for &r in &csr.order[csr.offsets[s0 + bs]..csr.offsets[s0 + bs + 1]] {
-                                *d += y.get(r, 0) * g.get(r, 0);
-                            }
-                        }
-                    });
                     let mut ga = lease_zeros(arena, y.rows(), 1);
-                    parallel::for_each_row_block_mut(ga.data_mut(), 1, 4, |r0, block| {
-                        for (br, o) in block.iter_mut().enumerate() {
-                            let r = r0 + br;
-                            *o = y.get(r, 0) * (g.get(r, 0) - seg_dot[segs[r]]);
-                        }
-                    });
+                    softmax_column_backward(
+                        y.data(),
+                        g.data(),
+                        segs,
+                        &csr,
+                        &mut seg_dot,
+                        ga.data_mut(),
+                    );
                     if let Some(ar) = arena {
                         ar.recycle_f32(seg_dot);
                     }
@@ -1154,6 +1305,18 @@ impl Graph {
                     });
                     accumulate_grad(nodes, grads, arena, *a, ga);
                 }
+                Op::EdgeAttention(ea) => {
+                    let [gw, gq, gk] =
+                        edge_attention_backward(nodes, arena, ea, &nodes[i].value, &g);
+                    // The composed chain delivered W_e, then Q, then K per
+                    // head; with distinct parents only each slot's own
+                    // sequence matters, and the +0.0 merges are folded in.
+                    for (v, gv) in [(ea.w_e, gw), (ea.q, gq), (ea.k, gk)] {
+                        if let Some(gv) = gv {
+                            accumulate_grad(nodes, grads, arena, v, gv);
+                        }
+                    }
+                }
             }
             grads[i] = Some(g);
             if let (Some(t0), Some(p)) = (bwd_start, profile.as_deref_mut()) {
@@ -1161,6 +1324,278 @@ impl Graph {
             }
         }
     }
+}
+
+/// Copy head `h`'s column block of `t` (width `out.cols()`) into `out`.
+fn head_cols_into(t: &Tensor, h: usize, out: &mut Tensor) {
+    let w = out.cols();
+    for (r, dst) in out.data_mut().chunks_mut(w.max(1)).enumerate() {
+        dst.copy_from_slice(&t.row_slice(r)[h * w..(h + 1) * w]);
+    }
+}
+
+/// Softmax of the score column `x` within each segment of `seg` (grouped
+/// by `csr`, which may list trailing empty segments), written to `out`.
+/// `seg_max` / `seg_sum` are scratch with one slot per CSR segment.
+///
+/// Four passes, each bitwise deterministic for any thread count:
+///
+///   1. per-segment max (CSR members ascending, scalar gathers);
+///   2. e_i = exp_det(x_i - max[seg_i]) over the contiguous score
+///      column — the hot pass, vectorized in kernels.rs (the scalar
+///      and SIMD exp produce identical bits per element, so block
+///      boundaries never show);
+///   3. per-segment sum of e in ascending member order — the exact
+///      per-element order of the serial scatter loop;
+///   4. normalize e in place by the gathered segment sum.
+///
+/// The exp is computed once per edge (the old two-pass form computed
+/// it twice) and is `simd::exp_det`, not libm's: bit-different from
+/// pre-SIMD artifacts in the last mantissa bits, identical across
+/// scalar/SIMD hosts and thread counts (the contract that matters).
+fn softmax_column(
+    x: &[f32],
+    seg: &[usize],
+    csr: &memo::Csr,
+    seg_max: &mut [f32],
+    seg_sum: &mut [f32],
+    out: &mut [f32],
+) {
+    let n_seg = csr.offsets.len() - 1;
+    let per_seg = (2 * x.len() / n_seg.max(1)).max(1) * 8;
+    parallel::for_each_row_block_mut(seg_max, 1, per_seg, |s0, block| {
+        for (bs, st) in block.iter_mut().enumerate() {
+            let members = &csr.order[csr.offsets[s0 + bs]..csr.offsets[s0 + bs + 1]];
+            let mut m = f32::NEG_INFINITY;
+            for &i in members {
+                m = m.max(x[i]);
+            }
+            *st = m;
+        }
+    });
+    let seg_max: &[f32] = seg_max;
+    parallel::for_each_row_block_mut(out, 1, 32, |i0, block| {
+        kernels::softmax_exp_block(block, i0, x, seg, seg_max);
+    });
+    let e: &[f32] = out;
+    parallel::for_each_row_block_mut(seg_sum, 1, per_seg, |s0, block| {
+        for (bs, st) in block.iter_mut().enumerate() {
+            let members = &csr.order[csr.offsets[s0 + bs]..csr.offsets[s0 + bs + 1]];
+            let mut sum = 0.0;
+            for &i in members {
+                sum += e[i];
+            }
+            *st = sum;
+        }
+    });
+    let seg_sum: &[f32] = seg_sum;
+    parallel::for_each_row_block_mut(out, 1, 16, |i0, block| {
+        kernels::softmax_div_block(block, i0, seg, seg_sum);
+    });
+}
+
+/// Backward of [`softmax_column`] with output `y` and upstream `g`:
+/// `out_i = y_i * (g_i - Σ_{j in seg(i)} y_j g_j)`, the segment dot taken
+/// in ascending member order from `0.0`. `seg_dot` is scratch with one slot
+/// per CSR segment.
+fn softmax_column_backward(
+    y: &[f32],
+    g: &[f32],
+    seg: &[usize],
+    csr: &memo::Csr,
+    seg_dot: &mut [f32],
+    out: &mut [f32],
+) {
+    let n_seg = csr.offsets.len() - 1;
+    let per_seg = (2 * y.len() / n_seg.max(1)).max(1);
+    parallel::for_each_row_block_mut(seg_dot, 1, per_seg, |s0, block| {
+        for (bs, d) in block.iter_mut().enumerate() {
+            let mut acc = 0.0;
+            for &r in &csr.order[csr.offsets[s0 + bs]..csr.offsets[s0 + bs + 1]] {
+                acc += y[r] * g[r];
+            }
+            *d = acc;
+        }
+    });
+    let seg_dot: &[f32] = seg_dot;
+    parallel::for_each_row_block_mut(out, 1, 4, |r0, block| {
+        for (br, o) in block.iter_mut().enumerate() {
+            let r = r0 + br;
+            *o = y[r] * (g[r] - seg_dot[seg[r]]);
+        }
+    });
+}
+
+/// Input gradients of one [`Graph::edge_attention`] node with output `y`
+/// and upstream gradient `g`: `[W_e, Q, K]`, each `None` when that parent
+/// needs no gradient.
+///
+/// Every element repeats the composed per-head backward's operations in
+/// order. The chain's merges of per-head gradients into the stacked inputs
+/// add `+0.0` terms, which change only a `-0.0`: with two or more heads each
+/// element of the stacked `K` / `Q` gradient passed through at least one
+/// such add. `dQ` (a plain product) is the only gradient that can hold a
+/// `-0.0`, so it alone repeats the add; `dW_e` and `dK` come out of matmuls,
+/// whose `+0.0`-seeded accumulators never produce `-0.0`.
+fn edge_attention_backward(
+    nodes: &[Node],
+    arena: &Option<TapeArena>,
+    ea: &EdgeAttn,
+    y: &Tensor,
+    g: &Tensor,
+) -> [Option<Tensor>; 3] {
+    let EdgeAttn {
+        k,
+        q,
+        w_e,
+        dsts,
+        heads,
+        kw,
+        raw,
+        alpha,
+    } = ea;
+    let heads = *heads;
+    let (kv, qv, wv) = (&nodes[k.0].value, &nodes[q.0].value, &nodes[w_e.0].value);
+    let (need_k, need_q, need_w) = (
+        nodes[k.0].needs_grad,
+        nodes[q.0].needs_grad,
+        nodes[w_e.0].needs_grad,
+    );
+    let (e, d) = kv.shape();
+    let hd = d / heads;
+    let n_dst = y.rows();
+    let csr = memo::csr_for(dsts, n_dst);
+
+    // ReLU backward on the aggregate (agg > 0 exactly where y > 0).
+    let mut g_agg = lease_zeros(arena, n_dst, d);
+    g.zip_into(y, &mut g_agg, |gi, x| if x > 0.0 { gi } else { 0.0 });
+
+    // dα[h][i] = g_agg[dst_i] · K_h[i] (mul_col_broadcast's `Iterator::sum`).
+    let mut g_alpha = lease_zeros(arena, heads, e);
+    parallel::for_each_row_block_mut(g_alpha.data_mut(), 1, 2 * hd, |j0, block| {
+        for (bj, o) in block.iter_mut().enumerate() {
+            let (h, i) = ((j0 + bj) / e, (j0 + bj) % e);
+            let cols = h * hd..(h + 1) * hd;
+            *o = g_agg.row_slice(dsts[i])[cols.clone()]
+                .iter()
+                .zip(&kv.row_slice(i)[cols])
+                .map(|(&gi, &ai)| gi * ai)
+                .sum();
+        }
+    });
+
+    // Softmax then LeakyReLU backward, per head: d raw.
+    let mut g_raw = lease_zeros(arena, heads, e);
+    let mut seg_dot = lease_zeros(arena, n_dst, 1);
+    for ((y_h, g_h), o_h) in alpha
+        .data()
+        .chunks(e.max(1))
+        .zip(g_alpha.data().chunks(e.max(1)))
+        .zip(g_raw.data_mut().chunks_mut(e.max(1)))
+    {
+        softmax_column_backward(y_h, g_h, dsts, &csr, seg_dot.data_mut(), o_h);
+    }
+    recycle(arena, seg_dot);
+    recycle(arena, g_alpha);
+    for (o, &x) in g_raw.data_mut().iter_mut().zip(raw.data()) {
+        *o = if x >= 0.0 { *o } else { SCORE_SLOPE * *o };
+    }
+    let g_raw_d = g_raw.data();
+
+    // row_dot backward: dQ_h[i] = kw_h[i] * d raw, d kw_h[i] = Q_h[i] * d raw.
+    let gq = need_q.then(|| {
+        let mut gq = lease_zeros(arena, e, d);
+        let kw_d = kw.data();
+        parallel::for_each_row_block_mut(gq.data_mut(), d, d, |i0, block| {
+            for (bi, row) in block.chunks_mut(d).enumerate() {
+                let i = i0 + bi;
+                for h in 0..heads {
+                    let gr = g_raw_d[h * e + i];
+                    let src = &kw_d[(h * e + i) * hd..(h * e + i + 1) * hd];
+                    for (o, &x) in row[h * hd..(h + 1) * hd].iter_mut().zip(src) {
+                        *o = if heads > 1 { x * gr + 0.0 } else { x * gr };
+                    }
+                }
+            }
+        });
+        gq
+    });
+    let mut g_kw = lease_zeros(arena, heads * e, hd);
+    parallel::for_each_row_block_mut(g_kw.data_mut(), hd, hd, |j0, block| {
+        for (bj, row) in block.chunks_mut(hd.max(1)).enumerate() {
+            let (h, i) = ((j0 + bj) / e, (j0 + bj) % e);
+            let gr = g_raw_d[h * e + i];
+            for (o, &x) in row.iter_mut().zip(&qv.row_slice(i)[h * hd..(h + 1) * hd]) {
+                *o = x * gr;
+            }
+        }
+    });
+
+    // matmul backward per head: dW_e^h = K_hᵀ d kw_h, dK_h += d kw_h (W_e^h)ᵀ.
+    let gw = need_w.then(|| {
+        let mut gw = lease_zeros(arena, d, hd);
+        let mut k_h = lease_zeros(arena, e, hd);
+        for h in 0..heads {
+            head_cols_into(kv, h, &mut k_h);
+            kernels::matmul_tn_into(
+                k_h.data(),
+                &g_kw.data()[h * e * hd..(h + 1) * e * hd],
+                &mut gw.data_mut()[h * hd * hd..(h + 1) * hd * hd],
+                hd,
+                e,
+                hd,
+            );
+        }
+        recycle(arena, k_h);
+        gw
+    });
+    let gk = need_k.then(|| {
+        let mut g_kmm = lease_zeros(arena, heads * e, hd);
+        let mut w_t = lease_zeros(arena, hd, hd);
+        for h in 0..heads {
+            let w_h = &wv.data()[h * hd * hd..(h + 1) * hd * hd];
+            for (r, row) in w_t.data_mut().chunks_mut(hd.max(1)).enumerate() {
+                for (c, o) in row.iter_mut().enumerate() {
+                    *o = w_h[c * hd + r];
+                }
+            }
+            kernels::matmul_into(
+                &g_kw.data()[h * e * hd..(h + 1) * e * hd],
+                w_t.data(),
+                &mut g_kmm.data_mut()[h * e * hd..(h + 1) * e * hd],
+                e,
+                hd,
+                hd,
+            );
+        }
+        recycle(arena, w_t);
+        // dK = (d weighted * α) + d kw (W_e)ᵀ: the mul_col_broadcast
+        // gradient arrived first, the matmul one was added onto it.
+        let mut gk = lease_zeros(arena, e, d);
+        let (al, mm) = (alpha.data(), g_kmm.data());
+        parallel::for_each_row_block_mut(gk.data_mut(), d, 2 * d, |i0, block| {
+            for (bi, row) in block.chunks_mut(d).enumerate() {
+                let i = i0 + bi;
+                let ga_row = g_agg.row_slice(dsts[i]);
+                for h in 0..heads {
+                    let a = al[h * e + i];
+                    let cols = h * hd..(h + 1) * hd;
+                    let mm_row = &mm[(h * e + i) * hd..(h * e + i + 1) * hd];
+                    for ((o, &gw), &gm) in
+                        row[cols.clone()].iter_mut().zip(&ga_row[cols]).zip(mm_row)
+                    {
+                        *o = gw * a + gm;
+                    }
+                }
+            }
+        });
+        recycle(arena, g_kmm);
+        gk
+    });
+    recycle(arena, g_kw);
+    recycle(arena, g_agg);
+    recycle(arena, g_raw);
+    [gw, gq, gk]
 }
 
 /// Merge gradient contribution `g` into node `v`'s slot. A buffer that ends
@@ -1203,6 +1638,12 @@ impl Drop for Graph {
                     Op::Dropout(_, mask) => arena.recycle_f32(mask.into_vec()),
                     Op::MseLoss(_, t) | Op::L1Loss(_, t) => arena.recycle_f32(t.into_vec()),
                     Op::ScaleRowsConst(_, c) => arena.recycle_f32(c),
+                    Op::EdgeAttention(ea) => {
+                        let EdgeAttn { kw, raw, alpha, .. } = *ea;
+                        for t in [kw, raw, alpha] {
+                            arena.recycle_f32(t.into_vec());
+                        }
+                    }
                     _ => {}
                 }
             }
@@ -1407,6 +1848,22 @@ mod tests {
         let y = g.add(a, a);
         g.backward(y);
         assert_eq!(g.grad(a).unwrap().item(), 2.0);
+    }
+
+    #[test]
+    fn edge_attention_scans_its_intermediates_for_faults() {
+        // Finite inputs whose bilinear scores overflow: only the op's own
+        // scan of its intermediates can see it (the ReLU output is finite).
+        let mut g = Graph::new();
+        let k = g.param(Tensor::full(3, 4, -1e20));
+        let q = g.param(Tensor::full(3, 4, 1e20));
+        let w = g.param(Tensor::full(4, 2, 1e20));
+        let out = g.edge_attention(k, q, w, &[0, 1, 1], 2, 2);
+        assert!(!g.value(out).has_non_finite());
+        if cfg!(debug_assertions) {
+            let fault = g.fault().expect("overflowing scores are a fault");
+            assert!(fault.contains("edge_attention"), "{fault}");
+        }
     }
 
     #[test]

@@ -9,6 +9,15 @@
 //!   `MR x NR` register-tile microkernel runs an autovectorization-friendly
 //!   inner loop over `k`.
 //!
+//! [`matmul_tn_into`] is the same product with `A` given transposed
+//! (`C = Aᵀ B` for a row-major `A`): the weight gradient `aᵀ·g` of a matmul
+//! backward. It dispatches on the shape exactly like [`matmul_into`] would
+//! on an explicit `Aᵀ`, and its naive and tiled paths read `A` in place —
+//! the naive loop as rank-1 updates over the rows of `A`, the tiled kernel
+//! by packing its `MR x KC` panels straight from `A`'s rows — so no
+//! transposed copy is ever made and every output element sees the same
+//! operation sequence as transpose-then-[`matmul_into`].
+//!
 //! # Bit-identity contract
 //!
 //! Both kernels compute every output element with a **single accumulator**
@@ -90,11 +99,34 @@ pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m:
     assert_eq!(a.len(), n * k, "matmul a length");
     assert_eq!(b.len(), k * m, "matmul b length");
     assert_eq!(out.len(), n * m, "matmul out length");
-    if n.saturating_mul(k).saturating_mul(m) >= TILED_MIN_MACS && m >= NR && n >= MR {
-        matmul_tiled_into(a, b, out, n, k, m);
+    if takes_tiled_path(n, k, m) {
+        tiled_into(a, ALayout::RowMajor, b, out, n, k, m);
     } else {
         matmul_naive_into(a, b, out, n, k, m);
     }
+}
+
+/// `out = aᵀ * b` for `a` stored `k x n` and `b` stored `k x m` (so `out`
+/// is `n x m`), without materializing `aᵀ`. Bit-identical to transposing
+/// `a` and calling [`matmul_into`]: same shape dispatch, same per-element
+/// accumulation order (see the module docs).
+///
+/// # Panics
+/// Panics if the slice lengths do not match the shapes.
+pub fn matmul_tn_into(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
+    assert_eq!(a.len(), k * n, "matmul_tn a length");
+    assert_eq!(b.len(), k * m, "matmul_tn b length");
+    assert_eq!(out.len(), n * m, "matmul_tn out length");
+    if takes_tiled_path(n, k, m) {
+        tiled_into(a, ALayout::Transposed, b, out, n, k, m);
+    } else {
+        matmul_tn_naive_into(a, b, out, n, k, m);
+    }
+}
+
+/// The shape-only naive/tiled dispatch rule shared by both products.
+fn takes_tiled_path(n: usize, k: usize, m: usize) -> bool {
+    n.saturating_mul(k).saturating_mul(m) >= TILED_MIN_MACS && m >= NR && n >= MR
 }
 
 /// The original `i-k-j` triple loop: for each output row, an axpy over the
@@ -127,12 +159,59 @@ pub fn matmul_naive_into(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usi
     });
 }
 
+/// [`matmul_naive_into`] on `aᵀ` (`a` stored `k x n`), reading `a` in place.
+/// The loop runs over the rows of `a` outermost — one rank-1 update of this
+/// worker's output rows per row of `a` — so `a` and `b` stream contiguously.
+/// Each output element still accumulates its `a[p][i] * b[p][j]` terms in
+/// ascending `p` from `0.0`, skipping `a == 0.0` exactly like the naive
+/// loop: the same operation sequence, so the same bits.
+fn matmul_tn_naive_into(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
+    out.fill(0.0);
+    parallel::for_each_row_block_mut(out, m, 2 * k * m, |i0, block| {
+        let rows = block.len() / m;
+        for p in 0..k {
+            let a_seg = &a[p * n + i0..p * n + i0 + rows];
+            let b_row = &b[p * m..(p + 1) * m];
+            for (o_row, &av) in block.chunks_mut(m).zip(a_seg) {
+                if av == 0.0 {
+                    continue;
+                }
+                for (o, &bv) in o_row.iter_mut().zip(b_row) {
+                    *o += av * bv;
+                }
+            }
+        }
+    });
+}
+
 /// Cache-blocked, register-tiled matmul. Bit-identical to
 /// [`matmul_naive_into`] for finite inputs (see the module docs).
 pub fn matmul_tiled_into(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
     assert_eq!(a.len(), n * k, "matmul a length");
     assert_eq!(b.len(), k * m, "matmul b length");
     assert_eq!(out.len(), n * m, "matmul out length");
+    tiled_into(a, ALayout::RowMajor, b, out, n, k, m);
+}
+
+/// How the tiled kernel finds `A(i, p)` in its `a` slice.
+#[derive(Debug, Clone, Copy)]
+enum ALayout {
+    /// `a` is `A` itself, `n x k` row-major: `A(i, p) = a[i * k + p]`.
+    RowMajor,
+    /// `a` is `Aᵀ`, `k x n` row-major: `A(i, p) = a[p * n + i]`.
+    Transposed,
+}
+
+/// The tiled kernel over an `A` in either layout (lengths already checked).
+fn tiled_into(
+    a: &[f32],
+    layout: ALayout,
+    b: &[f32],
+    out: &mut [f32],
+    n: usize,
+    k: usize,
+    m: usize,
+) {
     if n == 0 || m == 0 {
         return;
     }
@@ -149,7 +228,7 @@ pub fn matmul_tiled_into(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usi
         // Row-partitioned like the naive path; each worker handles an
         // arbitrary contiguous row range, so the split cannot affect bits.
         parallel::for_each_row_block_mut(out, m, 2 * k * m, |i0, block| {
-            tiled_rows(a, pb, block, i0, k, m);
+            tiled_rows(a, layout, pb, block, i0, n, k, m);
         });
     });
 }
@@ -177,8 +256,19 @@ fn pack_b(pb: &mut Vec<f32>, b: &[f32], k: usize, m: usize) {
 }
 
 /// Compute the output rows held in `block` (rows `i0 .. i0 + block_rows` of
-/// `C`), reading the matching rows of `a` and the shared packed `B`.
-fn tiled_rows(a: &[f32], pb: &[f32], block: &mut [f32], i0: usize, k: usize, m: usize) {
+/// `C`), reading the matching rows of `A` (laid out as `layout` says) and
+/// the shared packed `B`.
+#[allow(clippy::too_many_arguments)]
+fn tiled_rows(
+    a: &[f32],
+    layout: ALayout,
+    pb: &[f32],
+    block: &mut [f32],
+    i0: usize,
+    n: usize,
+    k: usize,
+    m: usize,
+) {
     let block_rows = block.len() / m;
     let panels = m.div_ceil(NR);
     PACK_A.with(|pa| {
@@ -196,17 +286,25 @@ fn tiled_rows(a: &[f32], pb: &[f32], block: &mut [f32], i0: usize, k: usize, m: 
             let mut bi = 0;
             while bi < block_rows {
                 let mr = MR.min(block_rows - bi);
-                // Pack the A panel: pa[p * MR + r] = a[(i0+bi+r)][p0+p],
+                // Pack the A panel: pa[p * MR + r] = A(i0+bi+r, p0+p),
                 // zero-padding rows past mr (padded lanes multiply into
-                // accumulators that are never stored).
+                // accumulators that are never stored). A transposed A is
+                // packed from its rows directly: MR adjacent values per p.
+                let i = i0 + bi;
                 for p in 0..kc {
-                    for r in 0..MR {
-                        pa[p * MR + r] = if r < mr {
-                            a[(i0 + bi + r) * k + p0 + p]
-                        } else {
-                            0.0
-                        };
+                    let dst = &mut pa[p * MR..p * MR + MR];
+                    match layout {
+                        ALayout::RowMajor => {
+                            for (r, d) in dst.iter_mut().enumerate().take(mr) {
+                                *d = a[(i + r) * k + p0 + p];
+                            }
+                        }
+                        ALayout::Transposed => {
+                            let row = (p0 + p) * n + i;
+                            dst[..mr].copy_from_slice(&a[row..row + mr]);
+                        }
                     }
+                    dst[mr..].fill(0.0);
                 }
                 tile_panels(
                     &pa[..kc * MR],

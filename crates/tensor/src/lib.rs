@@ -13,8 +13,10 @@
 //!   mirroring the define-by-run style of the original implementation.
 //! * **Graph-learning primitives**: `gather_rows`, `segment_sum`,
 //!   `segment_softmax`, `mul_col_broadcast` and `row_dot` implement
-//!   edge-list message passing and multi-head graph attention without ever
-//!   materializing adjacency matrices.
+//!   edge-list message passing without ever materializing adjacency
+//!   matrices; `edge_attention` runs a whole multi-head graph-attention
+//!   aggregation (bilinear scores, per-destination softmax, weighted sums)
+//!   as one tape node, bit-identical to composing those primitives.
 //! * **Parameters outside the tape** ([`ParamStore`]): bind → forward →
 //!   backward → harvest → [`optim`] step.
 //! * **Verified gradients**: every op is covered by finite-difference property
@@ -28,7 +30,8 @@
 //! * **Cache-blocked matmul** ([`kernels`]): large matrix products go through
 //!   a panel-packed, register-tiled microkernel that preserves the naive
 //!   loop's left-to-right accumulation order — same bits, several times the
-//!   throughput.
+//!   throughput. The weight gradient `aᵀ·g` of a matmul backward reads `a`
+//!   in place (`kernels::matmul_tn_into`) instead of transposing a copy.
 //! * **Explicit SIMD** ([`simd`]): the matmul microkernel, segment-softmax
 //!   and fused Adam step have AVX2 8-lane paths selected at runtime
 //!   (`is_x86_feature_detected!`), raw-bit identical to the scalar

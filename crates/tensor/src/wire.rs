@@ -10,10 +10,12 @@
 use crate::tensor::Tensor;
 use std::fmt;
 
-/// CRC32 (IEEE 802.3, the zlib polynomial) lookup table, built at compile
-/// time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC32 (IEEE 802.3, the zlib polynomial) slice-by-8 lookup tables, built
+/// at compile time. `CRC_TABLES[0]` is the classic bytewise table;
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so
+/// eight table lookups advance the register over eight input bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -26,17 +28,42 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut t = 1;
+        while t < 8 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            t += 1;
+        }
+        i += 1;
+    }
+    tables
 };
 
-/// CRC32 checksum of `data` (IEEE polynomial, standard init/final xor).
+/// CRC32 checksum of `data` (IEEE polynomial, standard init/final xor),
+/// eight bytes per step (slice-by-8), the tail bytewise.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = data.chunks_exact(8);
+    for ch in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]);
+        let hi = u32::from_le_bytes([ch[4], ch[5], ch[6], ch[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -111,6 +138,11 @@ impl Writer {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
+    /// Append raw bytes with no length prefix (the caller delimits them).
+    pub fn raw(&mut self, b: &[u8]) {
+        self.buf.extend_from_slice(b);
+    }
+
     /// Write a length-prefixed byte blob: `u64` length + bytes.
     pub fn bytes(&mut self, b: &[u8]) {
         self.u64(b.len() as u64);
@@ -132,8 +164,12 @@ impl Writer {
     pub fn tensor(&mut self, t: &Tensor) {
         self.usize(t.rows());
         self.usize(t.cols());
-        for &x in t.data() {
-            self.f32(x);
+        // One resize, then a straight bit-copy loop: the same bytes as
+        // `f32` per element without a capacity check per value.
+        let start = self.buf.len();
+        self.buf.resize(start + 4 * t.len(), 0);
+        for (dst, &x) in self.buf[start..].chunks_exact_mut(4).zip(t.data()) {
+            dst.copy_from_slice(&x.to_bits().to_le_bytes());
         }
     }
 }
@@ -238,10 +274,11 @@ impl<'a> Reader<'a> {
                 self.remaining()
             ));
         }
-        let mut data = Vec::with_capacity(n);
-        for _ in 0..n {
-            data.push(self.f32()?);
-        }
+        let data = self
+            .take(bytes)?
+            .chunks_exact(4)
+            .map(|b| f32::from_bits(u32::from_le_bytes([b[0], b[1], b[2], b[3]])))
+            .collect();
         Ok(Tensor::from_vec(rows, cols, data))
     }
 
@@ -264,6 +301,80 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"a"), crc32(b"b"));
+    }
+
+    /// The classic one-table, one-byte-per-step CRC32 (the reference the
+    /// slice-by-8 form must reproduce).
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    /// Deterministic pseudo-random bytes (xorshift64*).
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..len)
+            .map(|_| {
+                s ^= s >> 12;
+                s ^= s << 25;
+                s ^= s >> 27;
+                (s.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 56) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn slice_by_8_crc_matches_bytewise_reference() {
+        for (seed, len) in [
+            (1u64, 0usize),
+            (2, 1),
+            (3, 7),
+            (4, 8),
+            (5, 9),
+            (6, 63),
+            (7, 4097),
+        ] {
+            let buf = noise(len + 8, seed);
+            // Every start offset modulo 8, so the 8-byte steps straddle the
+            // buffer's alignment in every way, and odd tail lengths.
+            for start in 0..8 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "len {len} start {start}");
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_tensor_encoding_matches_per_element_encoding() {
+        let mut vals: Vec<f32> = noise(4 * 37, 11)
+            .chunks_exact(4)
+            .map(|b| f32::from_bits(u32::from_le_bytes([b[0], b[1], b[2], b[3]])))
+            .collect();
+        vals.extend([
+            -0.0,
+            0.0,
+            f32::NAN,
+            -f32::INFINITY,
+            1e-40,
+            f32::MIN_POSITIVE,
+        ]);
+        let t = Tensor::from_vec(43, 1, vals);
+        let mut bulk = Writer::new();
+        bulk.tensor(&t);
+        // The byte-at-a-time encoding the bulk path replaced.
+        let mut each = Writer::new();
+        each.usize(t.rows());
+        each.usize(t.cols());
+        for &x in t.data() {
+            each.f32(x);
+        }
+        assert_eq!(bulk.as_bytes(), each.as_bytes());
+        let back = Reader::new(bulk.as_bytes()).tensor().unwrap();
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&t));
     }
 
     #[test]

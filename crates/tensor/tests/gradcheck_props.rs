@@ -30,6 +30,23 @@ fn prop_assert_ok(ok: bool, res: &siterec_tensor::GradCheck) {
     );
 }
 
+/// A fixed, sign-mixed constant for the edge-attention checks.
+fn attn_fixed(g: &mut Graph, rows: usize, cols: usize, scale: f32) -> Var {
+    let v = (0..rows * cols)
+        .map(|i| scale * ((i * 7 % 11) as f32) - 0.5)
+        .collect();
+    g.constant(Tensor::from_vec(rows, cols, v))
+}
+
+/// Two heads of width 2 over five edges into three destinations (one with
+/// no in-edges), each output element weighted differently.
+fn edge_attention_loss(g: &mut Graph, k: Var, q: Var, w_e: Var) -> Var {
+    let out = g.edge_attention(k, q, w_e, &[0, 2, 0, 2, 2], 2, 3);
+    let c = attn_fixed(g, 3, 4, 0.2);
+    let weighted = g.mul(out, c);
+    g.sum_all(weighted)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -198,6 +215,30 @@ proptest! {
             let sr = g.sum_rows(tr);
             let sq = g.mul(sr, sr);
             g.sum_all(sq)
+        });
+    }
+
+    #[test]
+    fn grad_edge_attention_keys(t in small_tensor(5, 4)) {
+        assert_grad_ok(&t, |g, x| {
+            let (q, w) = (attn_fixed(g, 5, 4, 0.1), attn_fixed(g, 4, 2, 0.15));
+            edge_attention_loss(g, x, q, w)
+        });
+    }
+
+    #[test]
+    fn grad_edge_attention_queries(t in small_tensor(5, 4)) {
+        assert_grad_ok(&t, |g, x| {
+            let (k, w) = (attn_fixed(g, 5, 4, 0.1), attn_fixed(g, 4, 2, 0.15));
+            edge_attention_loss(g, k, x, w)
+        });
+    }
+
+    #[test]
+    fn grad_edge_attention_bilinear(t in small_tensor(4, 2)) {
+        assert_grad_ok(&t, |g, x| {
+            let (k, q) = (attn_fixed(g, 5, 4, 0.1), attn_fixed(g, 5, 4, -0.12));
+            edge_attention_loss(g, k, q, x)
         });
     }
 

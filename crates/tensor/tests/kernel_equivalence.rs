@@ -18,7 +18,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use siterec_tensor::kernels::{matmul_naive_into, matmul_tiled_into};
+use siterec_tensor::kernels::{
+    matmul_into, matmul_naive_into, matmul_tiled_into, matmul_tn_into, TILED_MIN_MACS,
+};
 use siterec_tensor::optim::{Adam, Optimizer};
 use siterec_tensor::parallel::ThreadGuard;
 use siterec_tensor::simd::SimdGuard;
@@ -165,6 +167,52 @@ fn tiled_bits_match_naive_on_adversarial_shapes() {
         let _g = ThreadGuard::set(threads);
         for &(n, k, m) in SHAPES {
             naive_vs_tiled(&mut rng, n, k, m);
+        }
+    }
+}
+
+/// `matmul_tn_into` against the product it replaces in the matmul
+/// backward: transpose `a` (stored `k x n`), then `matmul_into`.
+fn transpose_free_vs_transposed(rng: &mut StdRng, n: usize, k: usize, m: usize) {
+    let mut a = vec![0.0f32; k * n];
+    let mut b = vec![0.0f32; k * m];
+    adversarial_fill(&mut a, rng);
+    adversarial_fill(&mut b, rng);
+    let mut at = vec![0.0f32; n * k];
+    for p in 0..k {
+        for i in 0..n {
+            at[i * k + p] = a[p * n + i];
+        }
+    }
+    let mut want = vec![f32::NAN; n * m];
+    let mut got = vec![f32::NAN; n * m];
+    matmul_into(&at, &b, &mut want, n, k, m);
+    matmul_tn_into(&a, &b, &mut got, n, k, m);
+    for (i, (x, y)) in want.iter().zip(&got).enumerate() {
+        assert_eq!(
+            x.to_bits(),
+            y.to_bits(),
+            "bit mismatch at [{}, {}] of {n}x{k}x{m}: transposed {x:e} vs in place {y:e}",
+            i / m.max(1),
+            i % m.max(1),
+        );
+    }
+}
+
+#[test]
+fn transpose_free_product_matches_transpose_then_matmul() {
+    let _l = lock();
+    let mut rng = StdRng::seed_from_u64(0x7A5E);
+    // Weight-gradient shapes (`n` = a layer's fan-in, `k` = batch rows,
+    // `m` = fan-out): tall-and-skinny `a`, both sides of the threshold.
+    let grads: &[(usize, usize, usize)] =
+        &[(102, 700, 60), (12, 1500, 12), (63, 40, 20), (7, 5, 3)];
+    assert!(grads.iter().any(|&(n, k, m)| n * k * m >= TILED_MIN_MACS));
+    assert!(grads.iter().any(|&(n, k, m)| n * k * m < TILED_MIN_MACS));
+    for threads in [1usize, 4] {
+        let _g = ThreadGuard::set(threads);
+        for &(n, k, m) in SHAPES.iter().chain(grads) {
+            transpose_free_vs_transposed(&mut rng, n, k, m);
         }
     }
 }
