@@ -171,6 +171,11 @@ run sh -c 'cat target/ci_chaos_supervise/journals/*.jsonl \
 # Deeper seeded byte-fuzz sweep over every untrusted-byte parser (HTTP,
 # SRWIRE1, SRCKPT1, SREMB1, journal) under the optimized build.
 SITEREC_FUZZ_ITERS=1000 run cargo test -q --release -p siterec-serve --test fuzz_smoke
+# Request-path latency under the optimized build: kept-alive requests must
+# not stall on Nagle + delayed ACK (median < 20 ms; the stall is >= 40 ms),
+# every fresh connection must be accepted, and an idle server must stop
+# within its poll bound.
+run cargo test -q --release -p siterec-serve --test keep_alive
 # Serving perf smoke: QPS + latency percentiles artifact, journal-validated.
 echo "ci: serving perf smoke + journal validation"
 SITEREC_SMOKE=1 SITEREC_JOURNAL="$PWD/target/ci_serve_bench.jsonl" \

@@ -1,7 +1,8 @@
 //! A minimal, dependency-free HTTP/1.1 codec: just enough protocol for the
 //! serving endpoints (request line + headers + `Content-Length` body in;
-//! status line + headers + body out; HTTP/1.1 persistent connections with
-//! `Connection: close` honored). Not a general web server — unsupported
+//! status line + headers + body out, in one write; persistent connections
+//! by default on HTTP/1.1, `Connection: close` honored, HTTP/1.0 closed
+//! unless it asks for `keep-alive`). Not a general web server — unsupported
 //! constructs (chunked bodies, upgrades) are rejected with a clean 400.
 
 use std::io::{self, BufRead, Write};
@@ -16,6 +17,8 @@ pub struct Request {
     pub method: String,
     /// Request path including any query string (`/v1/score`).
     pub path: String,
+    /// Minor protocol version: `0` for HTTP/1.0, `1` for HTTP/1.1.
+    pub minor_version: u8,
     /// Lowercased `(name, value)` header pairs in arrival order.
     pub headers: Vec<(String, String)>,
     /// Request body (empty when no `Content-Length` was sent).
@@ -31,10 +34,15 @@ impl Request {
             .map(|(_, v)| v.as_str())
     }
 
-    /// Does the client ask to drop the connection after this exchange?
+    /// Does the connection end after this exchange? An explicit
+    /// `Connection: close` / `keep-alive` decides; otherwise HTTP/1.1
+    /// persists and HTTP/1.0 closes (RFC 9112 §9.3).
     pub fn wants_close(&self) -> bool {
-        self.header("connection")
-            .is_some_and(|v| v.eq_ignore_ascii_case("close"))
+        let has = |token: &str| {
+            self.header("connection")
+                .is_some_and(|v| v.split(',').any(|t| t.trim().eq_ignore_ascii_case(token)))
+        };
+        has("close") || (self.minor_version == 0 && !has("keep-alive"))
     }
 }
 
@@ -79,11 +87,14 @@ pub fn read_request<R: BufRead>(r: &mut R) -> io::Result<Option<Result<Request, 
             )))))
         }
     };
-    if !version.starts_with("HTTP/1.") {
+    let Some(minor_version) = version
+        .strip_prefix("HTTP/1.")
+        .and_then(|m| m.parse::<u8>().ok())
+    else {
         return Ok(Some(Err(ParseError::bad(format!(
             "unsupported protocol {version:?}"
         )))));
-    }
+    };
     let mut headers = Vec::new();
     loop {
         let mut h = String::new();
@@ -132,6 +143,7 @@ pub fn read_request<R: BufRead>(r: &mut R) -> io::Result<Option<Result<Request, 
     Ok(Some(Ok(Request {
         method,
         path,
+        minor_version,
         headers,
         body,
     })))
@@ -167,24 +179,33 @@ pub fn split_path_query(path: &str) -> (&str, Option<&str>) {
 /// then the body. The default `application/json` content type is suppressed
 /// when `extra_headers` carries its own `Content-Type` (the Prometheus
 /// `/metrics` rendering is `text/plain`).
+///
+/// The whole response is assembled first and handed to `w` in one
+/// `write_all`: on a socket, a trail of small writes would let Nagle's
+/// algorithm hold each one back until the client's (delayed) ACK arrives.
 pub fn write_response<W: Write>(
     w: &mut W,
     status: u16,
     body: &str,
     extra_headers: &[(&str, String)],
 ) -> io::Result<()> {
+    use std::fmt::Write as _;
     let has_ct = extra_headers
         .iter()
         .any(|(n, _)| n.eq_ignore_ascii_case("content-type"));
-    write!(w, "HTTP/1.1 {status} {}\r\n", reason(status))?;
+    let mut out = String::with_capacity(128 + body.len());
+    // Formatting into a `String` cannot fail.
+    let _ = write!(out, "HTTP/1.1 {status} {}\r\n", reason(status));
     if !has_ct {
-        write!(w, "Content-Type: application/json\r\n")?;
+        out.push_str("Content-Type: application/json\r\n");
     }
-    write!(w, "Content-Length: {}\r\n", body.len())?;
+    let _ = write!(out, "Content-Length: {}\r\n", body.len());
     for (name, value) in extra_headers {
-        write!(w, "{name}: {value}\r\n")?;
+        let _ = write!(out, "{name}: {value}\r\n");
     }
-    write!(w, "\r\n{body}")?;
+    out.push_str("\r\n");
+    out.push_str(body);
+    w.write_all(out.as_bytes())?;
     w.flush()
 }
 
@@ -257,6 +278,136 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("Content-Type: text/plain; version=0.0.4\r\n"));
         assert_eq!(text.matches("Content-Type:").count(), 1);
+    }
+
+    /// `(status, body, extra headers, expected bytes on the wire)`.
+    type Golden = (u16, &'static str, Vec<(&'static str, String)>, &'static str);
+
+    /// Golden bytes of the four response shapes the server emits, recorded
+    /// from the original one-`write!`-per-line encoder: the single-buffer
+    /// encoder must reproduce them byte for byte.
+    fn golden_cases() -> Vec<Golden> {
+        vec![
+            (
+                200,
+                "{\"region\":3,\"type\":1,\"period\":\"morning\",\"score\":0.25}\n",
+                vec![("X-Request-Id", "r-17".to_string())],
+                "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 54\r\n\
+                 X-Request-Id: r-17\r\n\r\n\
+                 {\"region\":3,\"type\":1,\"period\":\"morning\",\"score\":0.25}\n",
+            ),
+            (
+                429,
+                "{\"error\":\"rate limit exceeded; retry shortly\"}",
+                vec![
+                    ("Retry-After", "2".to_string()),
+                    ("X-Request-Id", "r-18".to_string()),
+                ],
+                "HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\n\
+                 Content-Length: 46\r\nRetry-After: 2\r\nX-Request-Id: r-18\r\n\r\n\
+                 {\"error\":\"rate limit exceeded; retry shortly\"}",
+            ),
+            (
+                200,
+                "# TYPE siterec_serve_requests_total counter\nsiterec_serve_requests_total 4\n",
+                vec![
+                    ("Content-Type", "text/plain; version=0.0.4".to_string()),
+                    ("X-Request-Id", "r-19".to_string()),
+                ],
+                "HTTP/1.1 200 OK\r\nContent-Length: 75\r\n\
+                 Content-Type: text/plain; version=0.0.4\r\nX-Request-Id: r-19\r\n\r\n\
+                 # TYPE siterec_serve_requests_total counter\nsiterec_serve_requests_total 4\n",
+            ),
+            (
+                200,
+                "",
+                vec![],
+                "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 0\r\n\r\n",
+            ),
+        ]
+    }
+
+    #[test]
+    fn response_bytes_match_golden() {
+        for (status, body, extra, golden) in golden_cases() {
+            let mut out = Vec::new();
+            write_response(&mut out, status, body, &extra).unwrap();
+            assert_eq!(String::from_utf8(out).unwrap(), golden);
+        }
+    }
+
+    /// Counts `write` calls, keeping the bytes.
+    struct CountingWriter {
+        calls: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn response_is_one_write() {
+        for (status, body, extra, golden) in golden_cases() {
+            let mut w = CountingWriter {
+                calls: 0,
+                bytes: Vec::new(),
+            };
+            write_response(&mut w, status, body, &extra).unwrap();
+            assert_eq!(w.calls, 1, "status {status}");
+            assert_eq!(w.bytes, golden.as_bytes());
+        }
+    }
+
+    fn parse(raw: &str) -> Request {
+        read_request(&mut BufReader::new(raw.as_bytes()))
+            .unwrap()
+            .unwrap()
+            .unwrap()
+    }
+
+    #[test]
+    fn http10_closes_by_default() {
+        let req = parse("GET /healthz HTTP/1.0\r\nHost: x\r\n\r\n");
+        assert_eq!(req.minor_version, 0);
+        assert!(req.wants_close());
+    }
+
+    #[test]
+    fn http10_keep_alive_persists() {
+        let req = parse("GET /healthz HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n");
+        assert!(!req.wants_close());
+    }
+
+    #[test]
+    fn http11_persists_by_default() {
+        let req = parse("GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+        assert_eq!(req.minor_version, 1);
+        assert!(!req.wants_close());
+    }
+
+    #[test]
+    fn http11_close_closes() {
+        let req = parse("GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
+        assert!(req.wants_close());
+    }
+
+    #[test]
+    fn malformed_version_is_a_400() {
+        let raw = "GET / HTTP/1.x\r\n\r\n";
+        let err = read_request(&mut BufReader::new(raw.as_bytes()))
+            .unwrap()
+            .unwrap()
+            .unwrap_err();
+        assert_eq!(err.status, 400);
     }
 
     #[test]

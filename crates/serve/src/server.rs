@@ -31,22 +31,19 @@ use crate::store::{EmbeddingStore, Query};
 use siterec_geo::Period;
 use siterec_obs::{self as obs, json, json::Json};
 use std::collections::VecDeque;
-use std::io::{self, BufReader, Write as _};
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Poll interval of the scorer's condvar wait and the shutdown checks: the
-/// upper bound on shutdown latency. (The scorer is woken eagerly by every
-/// enqueue; this timeout only bounds how long it sleeps while idle.)
+/// Timeout of the scorer's condvar wait and of an idle accept worker's
+/// readiness wait on the listener, and so the upper bound on how long an
+/// idle server takes to notice a stop or drain. Neither wait adds latency
+/// to work: every enqueue wakes the scorer, and a connecting client wakes
+/// an accept worker.
 const POLL: Duration = Duration::from_millis(20);
-
-/// Sleep between empty non-blocking `accept` polls. This bounds the latency
-/// a fresh connection pays before any worker picks it up, so it is much
-/// shorter than [`POLL`]; ~1k idle wakeups/s per worker is negligible.
-const ACCEPT_POLL: Duration = Duration::from_millis(1);
 
 /// Server configuration, assembled from defaults, `SITEREC_SERVE_*`
 /// environment knobs, and command-line overrides (in that order).
@@ -626,14 +623,69 @@ fn accept_loop(sh: &Shared, listener: &TcpListener) {
     // accept loop (the last one drops the listener, closing the socket) and
     // any connection already being handled finishes its current request.
     while !sh.stopping() && !sh.draining() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = handle_connection(sh, stream);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+        if let Some(stream) = accept_or_wait(listener, POLL) {
+            let _ = handle_connection(sh, stream);
         }
     }
+}
+
+/// One step of an accept loop on a non-blocking listener: the next waiting
+/// connection, or `None` once `timeout` has passed without one (or a wait
+/// was cut short by a signal), so the caller can re-check its stop flags
+/// before it accepts again.
+pub(crate) fn accept_or_wait(listener: &TcpListener, timeout: Duration) -> Option<TcpStream> {
+    match listener.accept() {
+        Ok((stream, _)) => Some(stream),
+        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+            wait_readable(listener, timeout);
+            None
+        }
+        // A failing accept (out of file descriptors, say) leaves the
+        // listener readable, so a readiness wait would spin: back off.
+        Err(_) => {
+            std::thread::sleep(timeout);
+            None
+        }
+    }
+}
+
+/// Block until `listener` has a connection waiting or `timeout` passes.
+/// An interrupted or failed `poll(2)` simply returns early.
+#[cfg(unix)]
+fn wait_readable(listener: &TcpListener, timeout: Duration) {
+    use std::ffi::{c_int, c_short, c_ulong};
+    use std::os::unix::io::AsRawFd;
+
+    #[repr(C)]
+    struct PollFd {
+        fd: c_int,
+        events: c_short,
+        revents: c_short,
+    }
+    const POLLIN: c_short = 0x1;
+
+    // `nfds_t` is `unsigned long` in glibc and musl.
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: c_ulong, timeout_ms: c_int) -> c_int;
+    }
+
+    let mut fd = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    let timeout_ms = c_int::try_from(timeout.as_millis()).unwrap_or(c_int::MAX);
+    // SAFETY: one valid `pollfd` that outlives the call; the fd stays open
+    // because `listener` is borrowed for the duration.
+    unsafe {
+        poll(&mut fd, 1, timeout_ms);
+    }
+}
+
+/// Platforms without `poll(2)`: wait out a short slice of `timeout`.
+#[cfg(not(unix))]
+fn wait_readable(_listener: &TcpListener, timeout: Duration) {
+    std::thread::sleep(timeout.min(Duration::from_millis(1)));
 }
 
 /// The batching scorer: drains up to `max_batch` jobs, scores them in one
@@ -724,6 +776,9 @@ fn handle_connection(sh: &Shared, stream: TcpStream) -> io::Result<()> {
     }
     let mut bucket = TokenBucket::new(sh.cfg.rate, sh.cfg.burst);
     stream.set_read_timeout(Some(sh.cfg.read_timeout))?;
+    // Each response leaves in one write; with Nagle off it is sent at once
+    // instead of waiting for the client to ACK the previous one.
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut out = stream;
     loop {
@@ -747,6 +802,7 @@ fn handle_connection(sh: &Shared, stream: TcpStream) -> io::Result<()> {
             Err(e) => return Err(e),
         };
         let close = req.wants_close();
+        let scoring = is_scoring_endpoint(http::split_path_query(&req.path).0);
         // Causal tracing: adopt the client's `X-Request-Id` or mint one, and
         // decide *now* (deterministic arrival-order counter, never wall
         // clock) whether this request is trace-sampled. The id is echoed on
@@ -759,28 +815,26 @@ fn handle_connection(sh: &Shared, stream: TcpStream) -> io::Result<()> {
         let t0 = Instant::now();
         // The token bucket throttles scoring endpoints only: health checks
         // and metrics scrapes must keep working on a rate-limited client.
-        let (status, body, mut extra, phases) =
-            if is_scoring_endpoint(http::split_path_query(&req.path).0) {
-                match bucket.take() {
-                    Ok(()) => dispatch(sh, &req),
-                    Err(retry_after) => {
-                        sh.metrics.rate_limited.fetch_add(1, Ordering::Relaxed);
-                        obs::counter_add("serve.rate_limited", 1);
-                        no_phases(
-                            429,
-                            error_body("rate limit exceeded; retry shortly"),
-                            vec![("Retry-After", retry_after.to_string())],
-                        )
-                    }
+        let (status, body, mut extra, phases) = if scoring {
+            match bucket.take() {
+                Ok(()) => dispatch(sh, &req),
+                Err(retry_after) => {
+                    sh.metrics.rate_limited.fetch_add(1, Ordering::Relaxed);
+                    obs::counter_add("serve.rate_limited", 1);
+                    no_phases(
+                        429,
+                        error_body("rate limit exceeded; retry shortly"),
+                        vec![("Retry-After", retry_after.to_string())],
+                    )
                 }
-            } else {
-                dispatch(sh, &req)
-            };
+            }
+        } else {
+            dispatch(sh, &req)
+        };
         extra.push(("X-Request-Id", rid.clone()));
         sh.metrics.requests.fetch_add(1, Ordering::Relaxed);
         sh.metrics.observe_phases(&phases);
         http::write_response(&mut out, status, &body, &extra)?;
-        let _ = out.flush();
         let total_ns = t0.elapsed().as_nanos() as u64;
         if obs::enabled() {
             let n = body.lines().count() as u64;
@@ -812,7 +866,7 @@ fn handle_connection(sh: &Shared, stream: TcpStream) -> io::Result<()> {
             }
         }
         obs::counter_add("serve.requests", 1);
-        if is_scoring_endpoint(&req.path) {
+        if scoring {
             let served = sh.serve_requests.fetch_add(1, Ordering::SeqCst) + 1;
             if sh.cfg.max_requests.is_some_and(|max| served >= max) {
                 sh.stop();

@@ -35,6 +35,7 @@
 //! across runs with the same seed.
 
 use crate::http;
+use crate::server::accept_or_wait;
 use siterec_obs::{self as obs, json};
 use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -249,18 +250,9 @@ pub fn run(cfg: SuperviseConfig) -> Result<(), String> {
 /// supervisor (which drains its replicas on the way out).
 fn admin_loop(shared: &AdminShared, listener: &TcpListener) {
     while !shared.quit.load(Ordering::SeqCst) {
-        let stream = match listener.accept() {
-            Ok((s, _)) => s,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(TICK);
-                continue;
-            }
-            Err(_) => {
-                std::thread::sleep(TICK);
-                continue;
-            }
-        };
-        let _ = serve_admin_connection(shared, stream);
+        if let Some(stream) = accept_or_wait(listener, TICK) {
+            let _ = serve_admin_connection(shared, stream);
+        }
     }
 }
 
