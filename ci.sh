@@ -40,9 +40,10 @@ run cargo run -q -p siterec-bench --bin validate_journal -- "$PWD/target/ci_jour
 # Kernel perf-regression smoke (release — `cargo bench` builds release): the
 # cache-blocked matmul must not be slower than the naive loop it replaced,
 # measured on >=256^3 shapes on *this* host (self-calibrated, relative, no
-# absolute-time flakiness). On hosts where the AVX2 microkernels activate
-# the gate additionally demands the 2.0x matmul target and >1.0x
-# scalar-vs-SIMD A/B speedups for segment-softmax and the fused Adam step.
+# absolute-time flakiness). On hosts where a vector matmul tier (AVX2 or
+# AVX-512) activates, the gate additionally demands the 2.0x matmul target
+# and >1.0x scalar-vs-SIMD A/B speedups for segment-softmax and the fused
+# Adam step.
 # Exits non-zero on regression via SITEREC_KERNEL_GATE=1; writes
 # BENCH_kernels.json (archived to the CI bench-history dir for trend
 # watching) and journals a `bench_artifact` record, which the schema
@@ -56,8 +57,9 @@ SITEREC_KERNEL_GATE=1 SITEREC_JOURNAL="$PWD/target/ci_kernels.jsonl" \
 run cargo run -q -p siterec-bench --bin validate_journal -- "$PWD/target/ci_kernels.jsonl"
 # The same gate with the SIMD paths forced off: the scalar fallbacks must
 # stay healthy (floor still binding; the 2.0x target is honestly unexpected
-# and not enforced on a scalar host), and the raw-bit equivalence suite must
-# hold when SITEREC_NO_SIMD=1 pins every kernel to the fallback. The
+# and not enforced on a scalar host), and the raw-bit equivalence suites and
+# the golden training bits must hold when SITEREC_NO_SIMD=1 pins every
+# kernel to the fallback. The
 # SIMD-measured artifact is saved and restored around the run (and the
 # forced-scalar numbers deliberately skip the history archive — its entries
 # track the production dispatch, not the fallback).
@@ -69,6 +71,7 @@ mv target/ci_simd_kernels.json BENCH_kernels.json
 run env SITEREC_NO_SIMD=1 cargo test -q --release -p siterec-tensor \
     --test kernel_equivalence --test parallel_equivalence \
     --test edge_attention_equivalence
+run env SITEREC_NO_SIMD=1 cargo test -q --release -p siterec-core --test golden_bits
 # Multicore no-slowdown floor: at no thread count may any kernel run slower
 # than serial. Armed only on >=2-core hosts (SITEREC_PARALLEL_GATE=1 exits
 # non-zero on an armed failure); on a 1-core host the artifact records the

@@ -9,7 +9,8 @@
 //! - `floor_passed`: the tiled kernel did not lose to the naive loop at
 //!   ≥256³ (the hard regression floor, meaningful on any host);
 //! - `target_met`: the tiled kernel hit the 2.0× target at ≥256³;
-//! - `target_expected`: the AVX2 microkernels were active, so the target
+//! - `target_expected`: a vector matmul tier (AVX2 or AVX-512) was
+//!   active, so the target
 //!   *should* be met — on such a host `passed` additionally requires
 //!   `target_met` and scalar-vs-SIMD speedup > 1.0 for segment-softmax
 //!   and the fused Adam step. On a scalar-fallback host only the floor
@@ -98,7 +99,7 @@ fn bench_matmul_shapes(reps: usize, shapes: &[(usize, usize, usize)]) -> Vec<Mat
 }
 
 /// Scalar-vs-SIMD A/B measurement of one vectorized kernel: the same
-/// workload timed with the AVX2 paths forced off (via [`SimdGuard`]) and
+/// workload timed with the SIMD paths forced off (via [`SimdGuard`]) and
 /// with auto dispatch, plus a raw-bit comparison of the two outputs. On a
 /// host where SIMD never activates both legs take the scalar path and the
 /// speedup is ~1.0 by construction.
@@ -301,8 +302,8 @@ fn run() -> bool {
     println!("=== single-core kernel speed: tiled matmul, SIMD A/B, tape arena ===");
     println!(
         "host cores available: {cores}, smoke: {smoke}, simd: arch={} avx2={} fma={} \
-         env_disabled={} active={}\n",
-        simd.arch, simd.avx2, simd.fma, simd.env_disabled, simd.active
+         avx512={} env_disabled={} active={} tier={}\n",
+        simd.arch, simd.avx2, simd.fma, simd.avx512, simd.env_disabled, simd.active, simd.tier
     );
 
     let shapes: &[(usize, usize, usize)] = if smoke {
@@ -397,8 +398,8 @@ fn run() -> bool {
     // means something on big shapes in a release build, hence the honest
     // skip in smoke mode. Two levels: `floor_passed` (tiled must not lose
     // to naive — binding everywhere) and `target_met` (the 2.0x target —
-    // binding only where `target_expected`, i.e. the AVX2 microkernels
-    // were active; a scalar-fallback host cannot be asked to hit a SIMD
+    // binding only where `target_expected`, i.e. a vector matmul tier was
+    // active; a scalar-fallback host cannot be asked to hit a SIMD
     // target). On a SIMD host the gate also requires the softmax and Adam
     // A/B speedups to clear 1.0: vectorization that loses to its own
     // scalar fallback is a regression, not a feature.
@@ -455,9 +456,9 @@ fn run() -> bool {
     }
     body.push_str("  ],\n");
     body.push_str(&format!(
-        "  \"simd\": {{ \"arch\": \"{}\", \"avx2\": {}, \"fma\": {}, \"env_disabled\": {}, \
-         \"active\": {} }},\n",
-        simd.arch, simd.avx2, simd.fma, simd.env_disabled, simd.active
+        "  \"simd\": {{ \"arch\": \"{}\", \"avx2\": {}, \"fma\": {}, \"avx512\": {}, \
+         \"env_disabled\": {}, \"active\": {}, \"tier\": \"{}\" }},\n",
+        simd.arch, simd.avx2, simd.fma, simd.avx512, simd.env_disabled, simd.active, simd.tier
     ));
     for r in &ab_rows {
         body.push_str(&format!(

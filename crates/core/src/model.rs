@@ -308,6 +308,7 @@ impl O2SiteRec {
             variant = format!("{:?}", self.cfg.variant),
             seed = self.cfg.seed,
             epochs = self.cfg.epochs,
+            simd = siterec_tensor::simd::tier().name(),
         );
         let mut opt = Adam::new(self.cfg.lr);
         let mut guard = TrainGuard::new(self.cfg.guard, &self.ps, &opt);

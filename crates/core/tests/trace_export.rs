@@ -89,6 +89,18 @@ fn chrome_trace_covers_every_epoch() {
         "epoch args wrong: {epochs_seen:?}"
     );
 
+    // The train span names the matmul tier that ran.
+    let simd: Vec<_> = events
+        .iter()
+        .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some("train"))
+        .filter_map(|e| e.get("args")?.get("simd")?.as_str())
+        .collect();
+    assert_eq!(
+        simd,
+        [siterec_tensor::simd::tier().name()],
+        "train span simd"
+    );
+
     obs::reset();
     obs::set_enabled(false);
 }

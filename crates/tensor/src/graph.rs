@@ -1010,18 +1010,22 @@ impl Graph {
                     accumulate_grad(nodes, grads, arena, *a, ga);
                 }
                 Op::MatMul(a, b) => {
-                    // ga = g . bᵀ through a leased (weight-sized) transpose;
-                    // gb = aᵀ . g read straight from `a`, with no transposed
-                    // copy of the activation. A product whose operand needs
-                    // no gradient is skipped: its contribution would be
-                    // dropped by `accumulate_grad` anyway.
+                    // ga = g . bᵀ and gb = aᵀ . g, each reading the
+                    // transposed operand in place: no transposed copy of the
+                    // weight or the activation is made. A product whose
+                    // operand needs no gradient is skipped: its contribution
+                    // would be dropped by `accumulate_grad` anyway.
                     let (av, bv) = (&nodes[a.0].value, &nodes[b.0].value);
                     if nodes[a.0].needs_grad {
-                        let mut bt = lease_zeros(arena, bv.cols(), bv.rows());
-                        bv.transpose_into(&mut bt);
-                        let mut ga = lease_zeros(arena, g.rows(), bt.cols());
-                        g.matmul_into(&bt, &mut ga);
-                        recycle(arena, bt);
+                        let mut ga = lease_zeros(arena, g.rows(), bv.rows());
+                        kernels::matmul_nt_into(
+                            g.data(),
+                            bv.data(),
+                            ga.data_mut(),
+                            g.rows(),
+                            g.cols(),
+                            bv.rows(),
+                        );
                         accumulate_grad(nodes, grads, arena, *a, ga);
                     }
                     if nodes[b.0].needs_grad {
@@ -1551,24 +1555,16 @@ fn edge_attention_backward(
     });
     let gk = need_k.then(|| {
         let mut g_kmm = lease_zeros(arena, heads * e, hd);
-        let mut w_t = lease_zeros(arena, hd, hd);
         for h in 0..heads {
-            let w_h = &wv.data()[h * hd * hd..(h + 1) * hd * hd];
-            for (r, row) in w_t.data_mut().chunks_mut(hd.max(1)).enumerate() {
-                for (c, o) in row.iter_mut().enumerate() {
-                    *o = w_h[c * hd + r];
-                }
-            }
-            kernels::matmul_into(
+            kernels::matmul_nt_into(
                 &g_kw.data()[h * e * hd..(h + 1) * e * hd],
-                w_t.data(),
+                &wv.data()[h * hd * hd..(h + 1) * hd * hd],
                 &mut g_kmm.data_mut()[h * e * hd..(h + 1) * e * hd],
                 e,
                 hd,
                 hd,
             );
         }
-        recycle(arena, w_t);
         // dK = (d weighted * α) + d kw (W_e)ᵀ: the mul_col_broadcast
         // gradient arrived first, the matmul one was added onto it.
         let mut gk = lease_zeros(arena, e, d);

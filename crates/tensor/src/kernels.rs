@@ -5,18 +5,28 @@
 //! * [`matmul_naive_into`] — the original `i-k-j` triple loop (one axpy over
 //!   the output row per `(i, k)` pair). This is the bit-reference.
 //! * [`matmul_tiled_into`] — a BLIS-style blocked kernel: `B` is packed once
-//!   into `NR`-wide column panels, `A` is packed per `MR x KC` panel, and an
-//!   `MR x NR` register-tile microkernel runs an autovectorization-friendly
-//!   inner loop over `k`.
+//!   into `NR = 16`-wide column panels (zero-padded past column `m`), and a
+//!   register-tile microkernel of `MR` rows by one or more panels runs the
+//!   inner loop over `k` in `KC`-deep blocks, broadcasting each `A` value
+//!   straight from `A`'s rows (`MR` sequential streams, so `A` needs no
+//!   packed copy).
 //!
-//! [`matmul_tn_into`] is the same product with `A` given transposed
-//! (`C = Aᵀ B` for a row-major `A`): the weight gradient `aᵀ·g` of a matmul
-//! backward. It dispatches on the shape exactly like [`matmul_into`] would
-//! on an explicit `Aᵀ`, and its naive and tiled paths read `A` in place —
-//! the naive loop as rank-1 updates over the rows of `A`, the tiled kernel
-//! by packing its `MR x KC` panels straight from `A`'s rows — so no
-//! transposed copy is ever made and every output element sees the same
-//! operation sequence as transpose-then-[`matmul_into`].
+//! Two more entry points run the same products on a transposed operand
+//! without materializing the transpose — the two halves of a matmul
+//! backward:
+//!
+//! * [`matmul_tn_into`] — `C = Aᵀ B` for a row-major `A`: the weight
+//!   gradient `aᵀ·g`. The naive loop runs rank-1 updates over the rows of
+//!   `A`; the tiled kernel reads `A(i, p)` at its transposed strides
+//!   (`ALayout::Transposed`).
+//! * [`matmul_nt_into`] — `C = A Bᵀ` for a row-major `B`: the input
+//!   gradient `g·bᵀ`. The tiled kernel packs its `B` panels straight from
+//!   the rows of `b` (`BLayout::Transposed`); the naive loop transposes
+//!   `b` into the same thread-local pack buffer.
+//!
+//! Both dispatch on the shape exactly like [`matmul_into`] would on the
+//! explicit transpose, and every output element sees the same operation
+//! sequence as transpose-then-[`matmul_into`].
 //!
 //! # Bit-identity contract
 //!
@@ -43,14 +53,19 @@
 //! # SIMD dispatch
 //!
 //! This module is the shape-dispatch seam for the explicit-SIMD kernels in
-//! [`simd`]: the tiled matmul's panel loop, the fused Adam
-//! chunk update ([`adam_update_chunk`]) and the segment-softmax exp /
-//! normalize passes ([`softmax_exp_block`], [`softmax_div_block`]) each
-//! check [`simd::active()`](crate::simd::active) once per contiguous block
-//! and take the AVX2 path when the host supports it, falling back to the
-//! scalar loops below otherwise. Scalar and SIMD paths are raw-bit
-//! identical (see the `simd` module docs for the per-kernel argument), so
-//! the dispatch decision is unobservable in outputs — only in throughput.
+//! [`simd`]. The tiled matmul's panel loop reads [`simd::tier()`] once per
+//! `(k-block, row-panel)` pair and runs every panel — full or partial —
+//! through that tier's microkernel: AVX-512 groups of up to four panels,
+//! AVX2 one panel as two ymm, or the scalar tile. Partial panels are
+//! handled with masked loads and stores of `C` over the zero-padded packed
+//! `B`, so no tier falls back to another for the last columns. The fused
+//! Adam chunk update ([`adam_update_chunk`]) and the segment-softmax exp /
+//! normalize passes ([`softmax_exp_block`], [`softmax_div_block`]) check
+//! [`simd::active()`](crate::simd::active) once per contiguous block and
+//! take their AVX2 path on either vector tier. Every path is raw-bit
+//! identical to the scalar loops (see the `simd` module docs for the
+//! per-kernel argument), so the dispatch decision is unobservable in
+//! outputs — only in throughput.
 //!
 //! # Parallelism
 //!
@@ -61,33 +76,39 @@
 //!
 //! # Allocation
 //!
-//! Packing buffers are thread-local and grow-once, so steady-state calls on
-//! a warm thread perform no heap allocation (the epoch-persistent
+//! The `B` packing buffer is thread-local and grow-once, so steady-state
+//! calls on a warm thread perform no heap allocation (the epoch-persistent
 //! [`TapeArena`](crate::TapeArena) supplies the output buffer).
 
 use crate::parallel;
-use crate::simd;
+use crate::simd::{self, Tier};
 use std::cell::RefCell;
 
 /// Microkernel register-tile height (output rows per tile).
 pub const MR: usize = 4;
-/// Microkernel register-tile width (output columns per tile).
-pub const NR: usize = 8;
+/// Width of one packed `B` column panel: one zmm, two ymm, or 16 scalar
+/// accumulators per tile row.
+pub const NR: usize = 16;
 /// Columns of `A` / rows of `B` per cache block (the `k` blocking factor;
-/// one packed `B` panel of `KC x NR` f32 is 8 KiB — comfortably L1).
+/// one packed `B` panel of `KC x NR` f32 is 16 KiB — fits L1).
 pub const KC: usize = 256;
+/// Panels per AVX-512 register tile: `MR x 4` zmm accumulators (16 of 32).
+const AVX512_PANELS: usize = 4;
 
 /// Below this many multiply-adds (`n * k * m`) the packing overhead of the
 /// tiled kernel outweighs its cache savings and [`matmul_into`] dispatches
 /// to the naive loop instead.
 pub const TILED_MIN_MACS: usize = 1 << 16;
 
+/// Narrowest output (columns) the tiled kernel takes; narrower products
+/// stay on the naive loop whatever their size.
+const TILED_MIN_COLS: usize = 8;
+
 thread_local! {
-    /// Packed `B` (all column panels, whole `k` extent). Lives on the thread
-    /// that issues the matmul.
+    /// Packed `B` (all column panels, whole `k` extent), or the transposed
+    /// `b` of a naive [`matmul_nt_into`]. Lives on the thread that issues
+    /// the matmul.
     static PACK_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// Packed `A` panel (`MR x KC`). One per worker thread.
-    static PACK_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// `out = a (n x k) * b (k x m)`, dispatching between the naive and tiled
@@ -100,7 +121,7 @@ pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m:
     assert_eq!(b.len(), k * m, "matmul b length");
     assert_eq!(out.len(), n * m, "matmul out length");
     if takes_tiled_path(n, k, m) {
-        tiled_into(a, ALayout::RowMajor, b, out, n, k, m);
+        tiled_into(a, ALayout::RowMajor, b, BLayout::RowMajor, out, n, k, m);
     } else {
         matmul_naive_into(a, b, out, n, k, m);
     }
@@ -118,15 +139,46 @@ pub fn matmul_tn_into(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize,
     assert_eq!(b.len(), k * m, "matmul_tn b length");
     assert_eq!(out.len(), n * m, "matmul_tn out length");
     if takes_tiled_path(n, k, m) {
-        tiled_into(a, ALayout::Transposed, b, out, n, k, m);
+        tiled_into(a, ALayout::Transposed, b, BLayout::RowMajor, out, n, k, m);
     } else {
         matmul_tn_naive_into(a, b, out, n, k, m);
     }
 }
 
-/// The shape-only naive/tiled dispatch rule shared by both products.
+/// `out = a * bᵀ` for `a` stored `n x k` and `b` stored `m x k` (so `out`
+/// is `n x m`). The tiled path packs its panels straight from `b`, so no
+/// transposed copy of `b` is made. Bit-identical to transposing `b` and
+/// calling [`matmul_into`]: same shape dispatch, same per-element
+/// accumulation order (see the module docs).
+///
+/// # Panics
+/// Panics if the slice lengths do not match the shapes.
+pub fn matmul_nt_into(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
+    assert_eq!(a.len(), n * k, "matmul_nt a length");
+    assert_eq!(b.len(), m * k, "matmul_nt b length");
+    assert_eq!(out.len(), n * m, "matmul_nt out length");
+    if takes_tiled_path(n, k, m) {
+        tiled_into(a, ALayout::RowMajor, b, BLayout::Transposed, out, n, k, m);
+    } else {
+        // Below the tiling threshold `B` is small (k x m with n*k*m under
+        // TILED_MIN_MACS), and the naive loop wants its rows contiguous.
+        PACK_B.with(|pb| {
+            let mut pb = pb.borrow_mut();
+            pb.clear();
+            pb.resize(k * m, 0.0);
+            for (j, b_row) in b.chunks_exact(k.max(1)).enumerate() {
+                for (p, &v) in b_row.iter().enumerate() {
+                    pb[p * m + j] = v;
+                }
+            }
+            matmul_naive_into(a, &pb, out, n, k, m);
+        });
+    }
+}
+
+/// The shape-only naive/tiled dispatch rule shared by every product.
 fn takes_tiled_path(n: usize, k: usize, m: usize) -> bool {
-    n.saturating_mul(k).saturating_mul(m) >= TILED_MIN_MACS && m >= NR && n >= MR
+    n.saturating_mul(k).saturating_mul(m) >= TILED_MIN_MACS && m >= TILED_MIN_COLS && n >= MR
 }
 
 /// The original `i-k-j` triple loop: for each output row, an axpy over the
@@ -190,7 +242,7 @@ pub fn matmul_tiled_into(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usi
     assert_eq!(a.len(), n * k, "matmul a length");
     assert_eq!(b.len(), k * m, "matmul b length");
     assert_eq!(out.len(), n * m, "matmul out length");
-    tiled_into(a, ALayout::RowMajor, b, out, n, k, m);
+    tiled_into(a, ALayout::RowMajor, b, BLayout::RowMajor, out, n, k, m);
 }
 
 /// How the tiled kernel finds `A(i, p)` in its `a` slice.
@@ -202,11 +254,23 @@ enum ALayout {
     Transposed,
 }
 
-/// The tiled kernel over an `A` in either layout (lengths already checked).
+/// How the tiled kernel finds `B(p, j)` in its `b` slice.
+#[derive(Debug, Clone, Copy)]
+enum BLayout {
+    /// `b` is `B` itself, `k x m` row-major: `B(p, j) = b[p * m + j]`.
+    RowMajor,
+    /// `b` is `Bᵀ`, `m x k` row-major: `B(p, j) = b[j * k + p]`.
+    Transposed,
+}
+
+/// The tiled kernel over `A` and `B` in either layout (lengths already
+/// checked).
+#[allow(clippy::too_many_arguments)]
 fn tiled_into(
     a: &[f32],
-    layout: ALayout,
+    alayout: ALayout,
     b: &[f32],
+    blayout: BLayout,
     out: &mut [f32],
     n: usize,
     k: usize,
@@ -221,43 +285,51 @@ fn tiled_into(
     }
     PACK_B.with(|pb| {
         let mut pb = pb.borrow_mut();
-        pack_b(&mut pb, b, k, m);
+        pack_b(&mut pb, b, blayout, k, m);
         // Reborrow as a plain slice so the parallel closure captures a Sync
         // `&[f32]` rather than the RefMut guard.
         let pb: &[f32] = &pb;
         // Row-partitioned like the naive path; each worker handles an
         // arbitrary contiguous row range, so the split cannot affect bits.
         parallel::for_each_row_block_mut(out, m, 2 * k * m, |i0, block| {
-            tiled_rows(a, layout, pb, block, i0, n, k, m);
+            tiled_rows(a, alayout, pb, block, i0, n, k, m);
         });
     });
 }
 
 /// Pack `B (k x m)` into `NR`-wide column panels: panel `jp` holds, for each
-/// `p` in `0..k`, the `NR` values `b[p][jp*NR .. jp*NR+NR]`, zero-padded
+/// `p` in `0..k`, the `NR` values `B(p, jp*NR .. jp*NR+NR)`, zero-padded
 /// past column `m`. Within a panel, consecutive `p` are contiguous, so the
 /// microkernel streams it linearly.
-fn pack_b(pb: &mut Vec<f32>, b: &[f32], k: usize, m: usize) {
+fn pack_b(pb: &mut Vec<f32>, b: &[f32], layout: BLayout, k: usize, m: usize) {
     let panels = m.div_ceil(NR);
-    let need = panels * k * NR;
     pb.clear();
-    pb.resize(need, 0.0);
-    for jp in 0..panels {
+    pb.resize(panels * k * NR, 0.0);
+    for (jp, panel) in pb.chunks_exact_mut(k * NR).enumerate() {
         let j0 = jp * NR;
         let nr = NR.min(m - j0);
-        let base = jp * k * NR;
-        for p in 0..k {
-            let src = &b[p * m + j0..p * m + j0 + nr];
-            let dst = &mut pb[base + p * NR..base + p * NR + NR];
-            dst[..nr].copy_from_slice(src);
-            dst[nr..].fill(0.0);
+        match layout {
+            BLayout::RowMajor => {
+                for (p, dst) in panel.chunks_exact_mut(NR).enumerate() {
+                    dst[..nr].copy_from_slice(&b[p * m + j0..p * m + j0 + nr]);
+                }
+            }
+            // Column j of the panel is row j0 + j of `b`: read it
+            // contiguously, write it down the panel at stride NR.
+            BLayout::Transposed => {
+                for (c, b_row) in b[j0 * k..(j0 + nr) * k].chunks_exact(k).enumerate() {
+                    for (p, &v) in b_row.iter().enumerate() {
+                        panel[p * NR + c] = v;
+                    }
+                }
+            }
         }
     }
 }
 
 /// Compute the output rows held in `block` (rows `i0 .. i0 + block_rows` of
-/// `C`), reading the matching rows of `A` (laid out as `layout` says) and
-/// the shared packed `B`.
+/// `C`), reading the matching rows of `A` in place (laid out as `layout`
+/// says) and the shared packed `B`.
 #[allow(clippy::too_many_arguments)]
 fn tiled_rows(
     a: &[f32],
@@ -270,171 +342,161 @@ fn tiled_rows(
     m: usize,
 ) {
     let block_rows = block.len() / m;
-    let panels = m.div_ceil(NR);
-    PACK_A.with(|pa| {
-        let mut pa = pa.borrow_mut();
-        if pa.len() < MR * KC {
-            pa.resize(MR * KC, 0.0);
+    let tier = simd::tier();
+    // Strides of A(i, p) in `a`: to the next row i, and to the next p.
+    let (rs, ps) = match layout {
+        ALayout::RowMajor => (k, 1),
+        ALayout::Transposed => (1, n),
+    };
+    // k blocks in ascending order: each output element accumulates its
+    // k-terms in ascending order across blocks (the naive order).
+    let mut p0 = 0;
+    while p0 < k {
+        let kc = KC.min(k - p0);
+        // Row panels of MR within this worker's range.
+        let mut bi = 0;
+        while bi < block_rows {
+            let mr = MR.min(block_rows - bi);
+            // Tile rows past mr repeat the last valid row: their
+            // accumulators are computed but never stored.
+            let rows = std::array::from_fn(|r| (i0 + bi + r.min(mr - 1)) * rs + p0 * ps);
+            let tile = Tile {
+                a,
+                rows,
+                ps,
+                kc,
+                bi,
+                mr,
+                m,
+                first: p0 == 0,
+            };
+            tile_panels(tier, &tile, pb, k, p0, block);
+            bi += mr;
         }
-        // k blocks in ascending order: each output element accumulates its
-        // k-terms in ascending order across blocks (the naive order).
-        let mut p0 = 0;
-        while p0 < k {
-            let kc = KC.min(k - p0);
-            let first = p0 == 0;
-            // Row panels of MR within this worker's range.
-            let mut bi = 0;
-            while bi < block_rows {
-                let mr = MR.min(block_rows - bi);
-                // Pack the A panel: pa[p * MR + r] = A(i0+bi+r, p0+p),
-                // zero-padding rows past mr (padded lanes multiply into
-                // accumulators that are never stored). A transposed A is
-                // packed from its rows directly: MR adjacent values per p.
-                let i = i0 + bi;
-                for p in 0..kc {
-                    let dst = &mut pa[p * MR..p * MR + MR];
-                    match layout {
-                        ALayout::RowMajor => {
-                            for (r, d) in dst.iter_mut().enumerate().take(mr) {
-                                *d = a[(i + r) * k + p0 + p];
-                            }
-                        }
-                        ALayout::Transposed => {
-                            let row = (p0 + p) * n + i;
-                            dst[..mr].copy_from_slice(&a[row..row + mr]);
-                        }
-                    }
-                    dst[mr..].fill(0.0);
-                }
-                tile_panels(
-                    &pa[..kc * MR],
-                    pb,
-                    panels,
-                    k,
-                    p0,
-                    kc,
-                    block,
-                    bi,
-                    m,
-                    mr,
-                    first,
-                );
-                bi += mr;
-            }
-            p0 += kc;
-        }
-    });
+        p0 += kc;
+    }
 }
 
-/// Run every column panel of one `(k-block, row-panel)` pair: the SIMD
-/// dispatch point. On an active AVX2 host, pairs of full `NR`-wide panels
-/// go through the 2-panel `4 x 16` ymm microkernel (an odd full panel
-/// through the 1-panel variant) and only partial tail panels fall back to
-/// the scalar tile; otherwise everything is scalar. Both produce identical
-/// bits per element, so the choice never shows in outputs.
-#[allow(clippy::too_many_arguments)]
-fn tile_panels(
-    pa: &[f32],
-    pb: &[f32],
-    panels: usize,
-    k: usize,
-    p0: usize,
-    kc: usize,
-    block: &mut [f32],
-    bi: usize,
-    m: usize,
-    mr: usize,
-    first: bool,
-) {
-    let bpanel = |jp: usize| &pb[jp * k * NR + p0 * NR..jp * k * NR + (p0 + kc) * NR];
-    #[cfg(target_arch = "x86_64")]
-    if simd::active() {
-        let mut jp = 0;
-        while jp < panels {
-            let j0 = jp * NR;
-            let nr = NR.min(m - j0);
-            if nr < NR {
-                microkernel(pa, bpanel(jp), kc, block, bi, j0, m, mr, nr, first);
-                jp += 1;
-            } else if jp + 1 < panels && NR.min(m - (jp + 1) * NR) == NR {
-                // SAFETY: simd::active() implies AVX2; both panels are full
-                // NR-wide and rows bi..bi+mr are inside this worker's block.
-                unsafe {
-                    simd::micro_avx2_2panel(
-                        pa,
-                        bpanel(jp),
-                        bpanel(jp + 1),
-                        kc,
-                        block,
-                        bi,
-                        j0,
-                        m,
-                        mr,
-                        first,
-                    );
-                }
-                jp += 2;
-            } else {
-                // SAFETY: as above, single full panel.
-                unsafe {
-                    simd::micro_avx2_1panel(pa, bpanel(jp), kc, block, bi, j0, m, mr, first);
-                }
-                jp += 1;
-            }
-        }
-        return;
+/// One `(k-block, row-panel)` pair of the tiled kernel: where its `MR` rows
+/// of `A` start and where its `mr` output rows sit in the worker's block.
+pub(crate) struct Tile<'a> {
+    /// The whole `A` operand, in either layout.
+    pub(crate) a: &'a [f32],
+    /// Offset in `a` of `A(row bi + r, p0)` for each tile row `r`.
+    pub(crate) rows: [usize; MR],
+    /// Stride in `a` from `A(i, p)` to `A(i, p + 1)`.
+    pub(crate) ps: usize,
+    /// Depth of this k-block.
+    pub(crate) kc: usize,
+    /// First output row of the tile within the block.
+    pub(crate) bi: usize,
+    /// Valid rows (`<= MR`).
+    pub(crate) mr: usize,
+    /// Row stride of the block (the product's `m`).
+    pub(crate) m: usize,
+    /// First k-block: the accumulators start at zero instead of reloading
+    /// the partial sums already in `C`.
+    pub(crate) first: bool,
+}
+
+impl Tile<'_> {
+    /// `A(row bi + r, p0 + p)`.
+    #[inline(always)]
+    pub(crate) fn a_at(&self, r: usize, p: usize) -> f32 {
+        self.a[self.rows[r] + p * self.ps]
     }
-    for jp in 0..panels {
+}
+
+/// Run every column panel of one tile through the chosen tier's
+/// microkernel: AVX-512 in groups of up to [`AVX512_PANELS`], AVX2 and
+/// scalar one panel at a time. Partial last panels are handled inside each
+/// microkernel, and all three produce identical bits per element, so the
+/// tier never shows in outputs.
+fn tile_panels(tier: Tier, t: &Tile, pb: &[f32], k: usize, p0: usize, block: &mut [f32]) {
+    let panels = t.m.div_ceil(NR);
+    let stride = k * NR;
+    // Panel jp's rows p0 .. p0 + kc, running on to the end of the packed B
+    // (the AVX-512 group reads its later panels at `stride` from here).
+    let bpanel = |jp: usize| &pb[jp * stride + p0 * NR..];
+    let mut jp = 0;
+    while jp < panels {
         let j0 = jp * NR;
-        let nr = NR.min(m - j0);
-        microkernel(pa, bpanel(jp), kc, block, bi, j0, m, mr, nr, first);
+        let group = match tier {
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512 => {
+                let np = AVX512_PANELS.min(panels - jp);
+                let b = bpanel(jp);
+                // SAFETY: tier() == Avx512 only when AVX-512F is detected;
+                // panels jp .. jp + np exist in the packed B (each `kc * NR`
+                // values from p0, at `stride`), so j0 + (np - 1) * NR < m;
+                // rows bi .. bi + mr are inside this worker's block.
+                unsafe {
+                    match np {
+                        4 => simd::micro_avx512::<4>(t, b, stride, block, j0),
+                        3 => simd::micro_avx512::<3>(t, b, stride, block, j0),
+                        2 => simd::micro_avx512::<2>(t, b, stride, block, j0),
+                        _ => simd::micro_avx512::<1>(t, b, stride, block, j0),
+                    }
+                }
+                np
+            }
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => {
+                // SAFETY: tier() >= Avx2 only when AVX2 is detected; panel
+                // jp holds `kc * NR` values from p0 and j0 < m; rows
+                // bi .. bi + mr are inside this worker's block.
+                unsafe { simd::micro_avx2(t, bpanel(jp), block, j0) };
+                1
+            }
+            _ => {
+                microkernel(t, bpanel(jp), block, j0);
+                1
+            }
+        };
+        jp += group;
     }
 }
 
-/// One `MR x NR` register tile: accumulate `kc` rank-1 updates into stack
-/// accumulators, then store the valid `mr x nr` region back to `C`.
+/// Rows of one scalar register tile: half of `MR`, so that the `2 x 16`
+/// accumulators stay in the sixteen SSE registers of baseline x86_64.
+const SCALAR_MR: usize = 2;
+
+/// The scalar tier on one panel: the tile's rows in `SCALAR_MR x NR`
+/// register tiles. Each accumulates `kc` rank-1 updates into stack
+/// accumulators, then stores its valid rows and the panel's valid columns
+/// (`nr < NR` only on the last panel) back to `C`.
 ///
 /// When `first` is false the tile reloads the partial sums already in `C`
 /// (written by earlier `KC` blocks), so each element's accumulation chain
 /// spans the blocks in ascending `k` order — the naive loop's exact order.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn microkernel(
-    pa: &[f32],
-    pb: &[f32],
-    kc: usize,
-    block: &mut [f32],
-    bi: usize,
-    j0: usize,
-    m: usize,
-    mr: usize,
-    nr: usize,
-    first: bool,
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    if !first {
-        for (r, row) in acc.iter_mut().enumerate().take(mr) {
-            let c_row = &block[(bi + r) * m + j0..(bi + r) * m + j0 + nr];
-            row[..nr].copy_from_slice(c_row);
-        }
-    }
-    // The hot loop: MR broadcast loads of A, one NR-wide load of B, MR*NR
-    // independent multiply-adds per k step. Each acc[r][c] is a single
-    // accumulator chain in ascending k — autovectorizes without changing
-    // per-element rounding order.
-    for p in 0..kc {
-        let arow = &pa[p * MR..p * MR + MR];
-        let brow = &pb[p * NR..p * NR + NR];
-        for r in 0..MR {
-            let av = arow[r];
-            for c in 0..NR {
-                acc[r][c] += av * brow[c];
+fn microkernel(t: &Tile, pb: &[f32], block: &mut [f32], j0: usize) {
+    let (kc, bi, m, mr) = (t.kc, t.bi, t.m, t.mr);
+    let nr = NR.min(m - j0);
+    for r0 in (0..mr).step_by(SCALAR_MR) {
+        let rows = SCALAR_MR.min(mr - r0);
+        let c_at = |r: usize| (bi + r0 + r) * m + j0;
+        let mut acc = [[0.0f32; NR]; SCALAR_MR];
+        if !t.first {
+            for (r, row) in acc.iter_mut().enumerate().take(rows) {
+                row[..nr].copy_from_slice(&block[c_at(r)..c_at(r) + nr]);
             }
         }
-    }
-    for (r, row) in acc.iter().enumerate().take(mr) {
-        let c_row = &mut block[(bi + r) * m + j0..(bi + r) * m + j0 + nr];
-        c_row.copy_from_slice(&row[..nr]);
+        // The hot loop: SCALAR_MR loads of A, one NR-wide load of B,
+        // SCALAR_MR*NR independent multiply-adds per k step. Each
+        // acc[r][c] is a single accumulator chain in ascending k —
+        // autovectorizes without changing per-element rounding order.
+        for p in 0..kc {
+            let brow = &pb[p * NR..p * NR + NR];
+            for (r, row) in acc.iter_mut().enumerate() {
+                let av = t.a_at(r0 + r, p);
+                for (o, &bv) in row.iter_mut().zip(brow) {
+                    *o += av * bv;
+                }
+            }
+        }
+        for (r, row) in acc.iter().enumerate().take(rows) {
+            block[c_at(r)..c_at(r) + nr].copy_from_slice(&row[..nr]);
+        }
     }
 }
 

@@ -30,14 +30,17 @@
 //! * **Cache-blocked matmul** ([`kernels`]): large matrix products go through
 //!   a panel-packed, register-tiled microkernel that preserves the naive
 //!   loop's left-to-right accumulation order — same bits, several times the
-//!   throughput. The weight gradient `aᵀ·g` of a matmul backward reads `a`
-//!   in place (`kernels::matmul_tn_into`) instead of transposing a copy.
-//! * **Explicit SIMD** ([`simd`]): the matmul microkernel, segment-softmax
-//!   and fused Adam step have AVX2 8-lane paths selected at runtime
-//!   (`is_x86_feature_detected!`), raw-bit identical to the scalar
-//!   fallbacks by construction (no FMA contraction; shared deterministic
-//!   `exp`), so outputs and checkpoints do not depend on the host's
-//!   vector units. `SITEREC_NO_SIMD=1` forces the scalar path.
+//!   throughput. Both halves of a matmul backward read the transposed
+//!   operand in place — the weight gradient `aᵀ·g` through
+//!   `kernels::matmul_tn_into`, the input gradient `g·bᵀ` through
+//!   `kernels::matmul_nt_into` — instead of transposing a copy.
+//! * **Explicit SIMD** ([`simd`]): the matmul microkernel has AVX-512 and
+//!   AVX2 tiers over one 16-wide packed panel layout, and segment-softmax
+//!   and the fused Adam step have AVX2 8-lane paths, all selected at
+//!   runtime (`is_x86_feature_detected!`) and raw-bit identical to the
+//!   scalar fallbacks by construction (no FMA contraction; shared
+//!   deterministic `exp`), so outputs and checkpoints do not depend on the
+//!   host's vector units. `SITEREC_NO_SIMD=1` forces the scalar path.
 //! * **Epoch-persistent memory** ([`TapeArena`], [`memo`]): tapes can lease
 //!   all their buffers from a size-bucketed pool owned by the training loop
 //!   (zero allocations once warm), and static edge lists are interned with

@@ -2,11 +2,20 @@
 //!
 //! Three tape kernels dominate training (see `BENCH_kernels.json`): the
 //! tiled matmul microkernel, the segment-softmax normalizer, and the fused
-//! Adam step. This module provides AVX2 8-lane f32 versions of each,
-//! selected at runtime via `is_x86_feature_detected!` with the scalar code
-//! in [`kernels`](crate::kernels) / [`optim`](crate::optim) kept as the
-//! portable fallback (any non-x86_64 target, or a host without AVX2+FMA,
-//! or `SITEREC_NO_SIMD=1`).
+//! Adam step. This module provides x86_64 versions of each, selected at
+//! runtime from CPU detection, with the scalar code in
+//! [`kernels`](crate::kernels) / [`optim`](crate::optim) kept as the
+//! portable fallback (any non-x86_64 target, a host without AVX2+FMA, or
+//! `SITEREC_NO_SIMD=1`). The matmul has two vector [`Tier`]s:
+//!
+//! | tier     | needs               | one 16-column B panel | register tile        |
+//! |----------|---------------------|-----------------------|----------------------|
+//! | `avx512` | AVX-512F, AVX2, FMA | one zmm               | 4 rows x 4 panels    |
+//! | `avx2`   | AVX2, FMA           | two ymm               | 4 rows x 1 panel     |
+//! | `scalar` | —                   | 16 `f32`              | 4 rows x 1 panel     |
+//!
+//! Segment softmax and Adam have one vector version, AVX2 8-lane, taken on
+//! both vector tiers.
 //!
 //! # Bit-identity contract
 //!
@@ -14,15 +23,18 @@
 //! construction rather than by tolerance:
 //!
 //! * **Matmul microkernel** — each output element keeps a single
-//!   accumulator chain in ascending `k` order; the 8 lanes of a `__m256`
-//!   are 8 *independent* output columns, so widening the register tile
-//!   changes which elements are computed together, never the order within
-//!   one element. Products use separate `_mm256_mul_ps` + `_mm256_add_ps`
-//!   (two roundings, exactly like the scalar `acc += a * b`); FMA
-//!   *contraction* is deliberately not used, because its single rounding
-//!   would diverge from the scalar reference and from every historical
-//!   artifact. The AVX2 path still costs half the instructions of the
-//!   scalar loop (8 lanes/op), which is where the speedup comes from.
+//!   accumulator chain in ascending `k` order; the lanes of a `__m512` or
+//!   `__m256` are *independent* output columns, so widening the register
+//!   tile changes which elements are computed together, never the order
+//!   within one element. Products use a separate mul + add (two roundings,
+//!   exactly like the scalar `acc += a * b`); FMA *contraction* is
+//!   deliberately not used, because its single rounding would diverge from
+//!   the scalar reference and from every historical artifact. The last,
+//!   partial panel of a product runs the same full-width arithmetic over
+//!   the zero-padded packed `B`, and masked loads and stores
+//!   (`_mm512_mask{z_loadu,_storeu}_ps`, `_mm256_mask{load,store}_ps`)
+//!   confine the reads and writes of `C` to its valid columns: a padded
+//!   lane is computed but never stored, so it cannot reach an output.
 //! * **Segment softmax** — the transcendental is [`exp_det`], a branchless
 //!   polynomial evaluated with an identical mul/add sequence in the scalar
 //!   and 8-lane versions, so `exp_det(x)` produces the same bits whether
@@ -40,22 +52,27 @@
 //! SIMD: a row processed 8-wide in one split and scalar-tail in another
 //! yields the same bits, so SIMD output is thread-count invariant. The
 //! proofs live in `tests/kernel_equivalence.rs` (including adversarial NaN
-//! payload / denormal / huge-magnitude bit patterns).
+//! payload / denormal / huge-magnitude bit patterns, under every tier).
 //!
 //! # Dispatch
 //!
-//! [`active`] caches CPU feature detection once (AVX2 **and** FMA must be
-//! present — the gate matches what the perf gate expects of the host, even
-//! though contraction is unused) and honours two scalar-forcing knobs: the
-//! `SITEREC_NO_SIMD=1` environment variable (read once per process) and
-//! the scoped [`SimdGuard`] used by benches and tests to A/B the two paths
-//! in-process.
+//! [`tier`] caches CPU feature detection once (AVX2 **and** FMA must be
+//! present for any vector tier — the gate matches what the perf gate
+//! expects of the host, even though contraction is unused) and honours
+//! three overrides: the `SITEREC_NO_SIMD=1` environment variable (read once
+//! per process) and the scoped [`SimdGuard`]s used by benches and tests to
+//! A/B the paths in-process — [`SimdGuard::force_scalar`] and
+//! [`SimdGuard::cap_avx2`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// Depth of active [`SimdGuard`]s; non-zero forces the scalar fallback.
+/// Depth of active [`SimdGuard::force_scalar`] guards; non-zero forces the
+/// scalar fallback.
 static FORCE_SCALAR_DEPTH: AtomicUsize = AtomicUsize::new(0);
+/// Depth of active [`SimdGuard::cap_avx2`] guards; non-zero caps the matmul
+/// tier at AVX2.
+static CAP_AVX2_DEPTH: AtomicUsize = AtomicUsize::new(0);
 
 /// Lower clamp for [`exp_det`] inputs: keeps the `2^n` scale factor a
 /// normal number (`n >= -126`), so `exp_det(x) ≈ 1.2e-38` for any
@@ -64,6 +81,28 @@ pub const EXP_LO: f32 = -87.0;
 /// Upper clamp for [`exp_det`] inputs: keeps `2^n` finite (`n <= 127`).
 pub const EXP_HI: f32 = 88.0;
 
+/// A matmul microkernel tier, ordered from narrowest to widest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Tier {
+    /// The portable scalar microkernel.
+    Scalar,
+    /// 256-bit ymm microkernel.
+    Avx2,
+    /// 512-bit zmm microkernel.
+    Avx512,
+}
+
+impl Tier {
+    /// The tier's name as recorded in artifacts and journals.
+    pub fn name(self) -> &'static str {
+        match self {
+            Tier::Scalar => "scalar",
+            Tier::Avx2 => "avx2",
+            Tier::Avx512 => "avx512",
+        }
+    }
+}
+
 /// True when the `SITEREC_NO_SIMD` env knob disables SIMD (read once).
 pub fn env_disabled() -> bool {
     static DISABLED: OnceLock<bool> = OnceLock::new();
@@ -71,30 +110,66 @@ pub fn env_disabled() -> bool {
         .get_or_init(|| std::env::var("SITEREC_NO_SIMD").is_ok_and(|v| !v.is_empty() && v != "0"))
 }
 
-/// Cached CPU feature detection: `(avx2, fma)`.
-pub fn detected() -> (bool, bool) {
+/// Host CPU features the dispatch reads.
+#[derive(Debug, Clone, Copy)]
+struct Cpu {
+    avx2: bool,
+    fma: bool,
+    avx512f: bool,
+}
+
+/// Cached CPU feature detection.
+fn cpu() -> Cpu {
     #[cfg(target_arch = "x86_64")]
     {
-        static DET: OnceLock<(bool, bool)> = OnceLock::new();
-        *DET.get_or_init(|| {
-            (
-                std::arch::is_x86_feature_detected!("avx2"),
-                std::arch::is_x86_feature_detected!("fma"),
-            )
+        static DET: OnceLock<Cpu> = OnceLock::new();
+        *DET.get_or_init(|| Cpu {
+            avx2: std::arch::is_x86_feature_detected!("avx2"),
+            fma: std::arch::is_x86_feature_detected!("fma"),
+            avx512f: std::arch::is_x86_feature_detected!("avx512f"),
         })
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        (false, false)
+        Cpu {
+            avx2: false,
+            fma: false,
+            avx512f: false,
+        }
     }
 }
 
-/// Whether the SIMD kernel paths are taken right now. Cheap enough for the
-/// per-region hot path: two cached lookups and one relaxed atomic load.
+/// The widest tier this host supports, from CPU detection alone.
+fn host_tier() -> Tier {
+    let c = cpu();
+    match (c.avx2 && c.fma, c.avx512f) {
+        (true, true) => Tier::Avx512,
+        (true, false) => Tier::Avx2,
+        (false, _) => Tier::Scalar,
+    }
+}
+
+/// The matmul tier taken right now: the host's widest, lowered by
+/// `SITEREC_NO_SIMD` and any live [`SimdGuard`]. Cheap enough for the
+/// per-region hot path: cached lookups and two relaxed atomic loads.
+#[inline]
+pub fn tier() -> Tier {
+    if env_disabled() || FORCE_SCALAR_DEPTH.load(Ordering::Relaxed) > 0 {
+        return Tier::Scalar;
+    }
+    let host = host_tier();
+    if CAP_AVX2_DEPTH.load(Ordering::Relaxed) > 0 {
+        host.min(Tier::Avx2)
+    } else {
+        host
+    }
+}
+
+/// Whether the SIMD kernel paths are taken right now (any vector tier; the
+/// AVX2 softmax and Adam kernels run on both).
 #[inline]
 pub fn active() -> bool {
-    let (avx2, fma) = detected();
-    avx2 && fma && !env_disabled() && FORCE_SCALAR_DEPTH.load(Ordering::Relaxed) == 0
+    tier() != Tier::Scalar
 }
 
 /// Snapshot of the dispatch decision, recorded into bench artifacts.
@@ -107,41 +182,57 @@ pub struct SimdStatus {
     /// FMA detected on this host (required for dispatch, though the
     /// kernels never contract — see the module docs).
     pub fma: bool,
+    /// AVX-512F detected on this host.
+    pub avx512: bool,
     /// `SITEREC_NO_SIMD` forced the scalar path.
     pub env_disabled: bool,
     /// The SIMD paths are currently taken.
     pub active: bool,
+    /// Name of the matmul tier currently taken (see [`Tier::name`]).
+    pub tier: &'static str,
 }
 
 /// Current dispatch snapshot (respects any live [`SimdGuard`]).
 pub fn status() -> SimdStatus {
-    let (avx2, fma) = detected();
+    let c = cpu();
     SimdStatus {
         arch: std::env::consts::ARCH,
-        avx2,
-        fma,
+        avx2: c.avx2,
+        fma: c.fma,
+        avx512: c.avx512f,
         env_disabled: env_disabled(),
         active: active(),
+        tier: tier().name(),
     }
 }
 
-/// Scoped scalar-forcing guard for in-process A/B comparisons (benches,
+/// Scoped dispatch override for in-process A/B comparisons (benches,
 /// equivalence tests). Nesting-safe; restores on drop. Results are
 /// bit-identical either way — this only changes *which* instructions
 /// compute them.
-pub struct SimdGuard(());
+pub struct SimdGuard(&'static AtomicUsize);
 
 impl SimdGuard {
     /// Force the scalar fallback until the guard drops.
     pub fn force_scalar() -> Self {
-        FORCE_SCALAR_DEPTH.fetch_add(1, Ordering::Relaxed);
-        SimdGuard(())
+        Self::hold(&FORCE_SCALAR_DEPTH)
+    }
+
+    /// Cap the matmul tier at AVX2 until the guard drops (no effect on a
+    /// host whose widest tier is AVX2 or scalar).
+    pub fn cap_avx2() -> Self {
+        Self::hold(&CAP_AVX2_DEPTH)
+    }
+
+    fn hold(depth: &'static AtomicUsize) -> Self {
+        depth.fetch_add(1, Ordering::Relaxed);
+        SimdGuard(depth)
     }
 }
 
 impl Drop for SimdGuard {
     fn drop(&mut self) {
-        FORCE_SCALAR_DEPTH.fetch_sub(1, Ordering::Relaxed);
+        self.0.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -209,20 +300,21 @@ pub fn exp_det(x: f32) -> f32 {
 }
 
 #[cfg(target_arch = "x86_64")]
-pub use avx2::*;
+pub use x86::*;
 
 #[cfg(target_arch = "x86_64")]
-mod avx2 {
-    //! AVX2 kernel bodies. Every function is `unsafe` with the contract
-    //! that the caller has verified [`active()`](super::active) (which
-    //! implies AVX2+FMA support) before dispatching here.
+mod x86 {
+    //! AVX2 and AVX-512 kernel bodies. Every function is `unsafe` with the
+    //! contract that the caller has checked [`tier()`](super::tier) reaches
+    //! the instruction set the function is compiled for before dispatching
+    //! here.
     // Register-tile loops index several accumulator arrays and raw pointers
     // in lockstep; iterator rewrites would obscure the lane arithmetic.
     #![allow(clippy::too_many_arguments, clippy::needless_range_loop)]
 
     use super::exp_consts::*;
     use super::{EXP_HI, EXP_LO};
-    use crate::kernels::{AdamConsts, MR, NR};
+    use crate::kernels::{AdamConsts, Tile, MR, NR};
     use std::arch::x86_64::*;
 
     /// 8-lane [`exp_det`](super::exp_det): identical clamp / reduction /
@@ -256,85 +348,104 @@ mod avx2 {
         _mm256_mul_ps(y, scale)
     }
 
-    /// The packed-panel microkernel, widened to two adjacent `NR = 8`
-    /// column panels: a `4 x 16` register tile held in 8 ymm accumulators.
+    /// The packed-panel microkernel on one `NR = 16` column panel: a
+    /// `4 x 16` register tile held in 8 ymm accumulators, two per row.
     /// `acc += a * b` is separate mul + add — two roundings per term in
-    /// ascending `k`, exactly the scalar chain.
+    /// ascending `k`, exactly the scalar chain. `C` is read and written
+    /// through lane masks that cover the panel's valid columns, so the
+    /// last, partial panel of a product needs no separate path.
     ///
     /// # Safety
-    /// Requires AVX2; `pa` holds `kc * MR` packed A values, `pb0`/`pb1`
-    /// hold `kc * NR` packed B values, and rows `bi..bi+mr` / columns
-    /// `j0..j0+2*NR` must be in-bounds in `block` (row stride `m`).
+    /// Requires AVX2; `pb` holds at least `t.kc * NR` packed B values,
+    /// `j0 < t.m`, and rows `t.bi..t.bi+t.mr` must be in-bounds in `block`
+    /// (row stride `t.m`). `A` is read through the bounds-checked
+    /// [`Tile::a_at`].
     #[target_feature(enable = "avx2")]
-    pub unsafe fn micro_avx2_2panel(
-        pa: &[f32],
-        pb0: &[f32],
-        pb1: &[f32],
-        kc: usize,
-        block: &mut [f32],
-        bi: usize,
-        j0: usize,
-        m: usize,
-        mr: usize,
-        first: bool,
-    ) {
+    pub(crate) unsafe fn micro_avx2(t: &Tile, pb: &[f32], block: &mut [f32], j0: usize) {
+        let (kc, bi, m, mr) = (t.kc, t.bi, t.m, t.mr);
+        // The high half may start past the end of `block` when the panel
+        // has 8 or fewer columns; `wrapping_add` keeps forming that address
+        // defined, and its all-clear mask keeps it from being accessed.
+        let cols = _mm256_set1_epi32((m - j0).min(NR) as i32);
+        let lo = _mm256_cmpgt_epi32(cols, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+        let hi = _mm256_cmpgt_epi32(cols, _mm256_setr_epi32(8, 9, 10, 11, 12, 13, 14, 15));
         let mut acc0: [__m256; MR] = [_mm256_setzero_ps(); MR];
         let mut acc1: [__m256; MR] = [_mm256_setzero_ps(); MR];
-        if !first {
+        if !t.first {
             for r in 0..mr {
                 let p = block.as_ptr().add((bi + r) * m + j0);
-                acc0[r] = _mm256_loadu_ps(p);
-                acc1[r] = _mm256_loadu_ps(p.add(NR));
+                acc0[r] = _mm256_maskload_ps(p, lo);
+                acc1[r] = _mm256_maskload_ps(p.wrapping_add(8), hi);
             }
         }
         for p in 0..kc {
-            let b0 = _mm256_loadu_ps(pb0.as_ptr().add(p * NR));
-            let b1 = _mm256_loadu_ps(pb1.as_ptr().add(p * NR));
+            let b0 = _mm256_loadu_ps(pb.as_ptr().add(p * NR));
+            let b1 = _mm256_loadu_ps(pb.as_ptr().add(p * NR + 8));
             for r in 0..MR {
-                let av = _mm256_broadcast_ss(&*pa.as_ptr().add(p * MR + r));
+                let av = _mm256_set1_ps(t.a_at(r, p));
                 acc0[r] = _mm256_add_ps(acc0[r], _mm256_mul_ps(av, b0));
                 acc1[r] = _mm256_add_ps(acc1[r], _mm256_mul_ps(av, b1));
             }
         }
         for r in 0..mr {
             let p = block.as_mut_ptr().add((bi + r) * m + j0);
-            _mm256_storeu_ps(p, acc0[r]);
-            _mm256_storeu_ps(p.add(NR), acc1[r]);
+            _mm256_maskstore_ps(p, lo, acc0[r]);
+            _mm256_maskstore_ps(p.wrapping_add(8), hi, acc1[r]);
         }
     }
 
-    /// Single-panel variant of [`micro_avx2_2panel`] (`4 x 8` tile) for an
-    /// odd trailing full panel.
+    /// The packed-panel microkernel on `NP` (1..=4) adjacent `NR = 16`
+    /// column panels: a `4 x 16·NP` register tile with one zmm accumulator
+    /// per row and panel (16 at `NP = 4`). Same per-element arithmetic as
+    /// [`micro_avx2`]; each panel's loads and stores of `C` are masked to
+    /// its valid columns.
     ///
     /// # Safety
-    /// Same contract as [`micro_avx2_2panel`] with one panel.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn micro_avx2_1panel(
-        pa: &[f32],
+    /// Requires AVX-512F; panel `q` of the group starts at `pb[q * stride]`
+    /// and `pb` holds its `t.kc * NR` packed B values from there;
+    /// `j0 + (NP - 1) * NR < t.m`; and rows `t.bi..t.bi+t.mr` must be
+    /// in-bounds in `block` (row stride `t.m`). `A` is read through the
+    /// bounds-checked [`Tile::a_at`].
+    #[target_feature(enable = "avx512f")]
+    pub(crate) unsafe fn micro_avx512<const NP: usize>(
+        t: &Tile,
         pb: &[f32],
-        kc: usize,
+        stride: usize,
         block: &mut [f32],
-        bi: usize,
         j0: usize,
-        m: usize,
-        mr: usize,
-        first: bool,
     ) {
-        let mut acc: [__m256; MR] = [_mm256_setzero_ps(); MR];
-        if !first {
+        let (kc, bi, m, mr) = (t.kc, t.bi, t.m, t.mr);
+        let mut mask: [__mmask16; NP] = [0; NP];
+        for (q, mk) in mask.iter_mut().enumerate() {
+            let cols = (m - j0 - q * NR).min(NR);
+            *mk = (((1u32 << cols) - 1) & 0xffff) as __mmask16;
+        }
+        let mut acc: [[__m512; NP]; MR] = [[_mm512_setzero_ps(); NP]; MR];
+        if !t.first {
             for r in 0..mr {
-                acc[r] = _mm256_loadu_ps(block.as_ptr().add((bi + r) * m + j0));
+                let c = block.as_ptr().add((bi + r) * m + j0);
+                for q in 0..NP {
+                    acc[r][q] = _mm512_maskz_loadu_ps(mask[q], c.add(q * NR));
+                }
             }
         }
         for p in 0..kc {
-            let b0 = _mm256_loadu_ps(pb.as_ptr().add(p * NR));
+            let mut bv: [__m512; NP] = [_mm512_setzero_ps(); NP];
+            for q in 0..NP {
+                bv[q] = _mm512_loadu_ps(pb.as_ptr().add(q * stride + p * NR));
+            }
             for r in 0..MR {
-                let av = _mm256_broadcast_ss(&*pa.as_ptr().add(p * MR + r));
-                acc[r] = _mm256_add_ps(acc[r], _mm256_mul_ps(av, b0));
+                let av = _mm512_set1_ps(t.a_at(r, p));
+                for q in 0..NP {
+                    acc[r][q] = _mm512_add_ps(acc[r][q], _mm512_mul_ps(av, bv[q]));
+                }
             }
         }
         for r in 0..mr {
-            _mm256_storeu_ps(block.as_mut_ptr().add((bi + r) * m + j0), acc[r]);
+            let c = block.as_mut_ptr().add((bi + r) * m + j0);
+            for q in 0..NP {
+                _mm512_mask_storeu_ps(c.add(q * NR), mask[q], acc[r][q]);
+            }
         }
     }
 
@@ -489,7 +600,7 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn exp8_lanes_match_scalar_on_adversarial_bits() {
-        if !detected().0 {
+        if !cpu().avx2 {
             return; // no AVX2: nothing to compare
         }
         use std::arch::x86_64::*;
@@ -550,16 +661,24 @@ mod tests {
 
     #[test]
     fn guard_forces_scalar_and_restores() {
-        let before = active();
+        let before = tier();
+        assert_eq!(active(), before != Tier::Scalar);
         {
-            let _g = SimdGuard::force_scalar();
-            assert!(!active());
+            let _c = SimdGuard::cap_avx2();
+            assert_eq!(tier(), before.min(Tier::Avx2));
             {
-                let _g2 = SimdGuard::force_scalar();
+                let _g = SimdGuard::force_scalar();
+                assert_eq!(tier(), Tier::Scalar);
+                assert!(!active());
+                {
+                    let _g2 = SimdGuard::force_scalar();
+                    assert!(!active());
+                }
                 assert!(!active());
             }
-            assert!(!active());
+            assert_eq!(tier(), before.min(Tier::Avx2));
         }
-        assert_eq!(active(), before);
+        assert_eq!(tier(), before);
+        assert_eq!(status().tier, before.name());
     }
 }

@@ -7,11 +7,13 @@
 //! `segment_sum`, `relu`, and finally `concat_cols` over heads. Both
 //! versions run on the same inputs; the forward value and the gradient of
 //! every input must agree bit for bit — including the sign of zero, which
-//! the chain's per-head gradient merges normalize — at 1 and 4 threads.
+//! the chain's per-head gradient merges normalize — at 1 and 4 threads,
+//! under auto dispatch and with the matmul tier capped at AVX2.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use siterec_tensor::parallel::ThreadGuard;
+use siterec_tensor::simd::SimdGuard;
 use siterec_tensor::{Graph, Tensor, Var};
 use std::sync::Mutex;
 
@@ -143,6 +145,15 @@ fn run(c: &Case, fused: bool, k_reused: bool) -> Vec<Vec<u32>> {
 
 fn assert_equivalent(label: &str, c: &Case) {
     let _l = lock();
+    // Auto dispatch (AVX-512 where detected), then capped at AVX2; ci.sh
+    // re-runs the suite with SITEREC_NO_SIMD=1 for the scalar tier.
+    for cap in [false, true] {
+        let _c = cap.then(SimdGuard::cap_avx2);
+        equivalent_at_threads(&format!("{label} (avx2 cap {cap})"), c);
+    }
+}
+
+fn equivalent_at_threads(label: &str, c: &Case) {
     for threads in [1, 4] {
         let _g = ThreadGuard::set(threads);
         for k_reused in [false, true] {

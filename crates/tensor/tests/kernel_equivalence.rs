@@ -2,24 +2,30 @@
 //! must produce *identical raw `f32` bits* to the naive triple loop on every
 //! shape, at every thread count, and through arena-pooled tapes. The shapes
 //! below are adversarial on purpose: empty and degenerate dims, primes,
-//! sizes straddling the `MR`/`NR` register-tile edges and the `KC` cache
+//! every column count mod the 16-wide panel, sizes straddling the `MR`
+//! register-tile edge, the AVX-512 four-panel groups and the `KC` cache
 //! block, and sizes on both sides of the `TILED_MIN_MACS` dispatch
 //! threshold. See `kernels` module docs for why the naive loop's
 //! zero-skip cannot change the bits.
 //!
-//! A second family of tests pins the SIMD dispatch seam: on hosts where the
-//! AVX2 microkernels activate, every vectorized kernel (tiled matmul,
-//! segment-softmax, fused Adam) must produce the exact scalar-fallback bits
-//! — including on adversarial *bit patterns* (NaN payloads, ±0.0,
-//! denormals, ±inf, huge and tiny magnitudes). Those compare tiled-vs-tiled
-//! (forced-scalar vs auto), never naive-vs-tiled: the naive loop's zero-skip
-//! is only bit-transparent for finite inputs (`0 * inf` is NaN, so skipping
-//! a zero `a` term changes the result once non-finite values are in play).
+//! A second family of tests pins the SIMD dispatch seam: every vectorized
+//! kernel (tiled matmul in all three layouts, segment-softmax, fused Adam)
+//! must produce the exact scalar-fallback bits under every tier the host
+//! has — scalar, AVX2 (capped with `SimdGuard::cap_avx2`) and the auto
+//! choice (AVX-512 where detected) — including on adversarial *bit
+//! patterns* (NaN payloads, ±0.0, denormals, ±inf, huge and tiny
+//! magnitudes). Those compare tiled-vs-tiled across tiers, never
+//! naive-vs-tiled: the naive loop's zero-skip is only bit-transparent for
+//! finite inputs (`0 * inf` is NaN, so skipping a zero `a` term changes the
+//! result once non-finite values are in play). On a host without a vector
+//! tier every leg runs scalar and the tests degenerate to (still valid)
+//! self-consistency checks.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use siterec_tensor::kernels::{
-    matmul_into, matmul_naive_into, matmul_tiled_into, matmul_tn_into, TILED_MIN_MACS,
+    matmul_into, matmul_naive_into, matmul_nt_into, matmul_tiled_into, matmul_tn_into,
+    TILED_MIN_MACS,
 };
 use siterec_tensor::optim::{Adam, Optimizer};
 use siterec_tensor::parallel::ThreadGuard;
@@ -110,9 +116,14 @@ fn matmul_bit_adversarial_fill(buf: &mut [f32], rng: &mut StdRng) {
 
 /// n, k, m triples hitting every dispatch and tiling edge:
 /// - empty / unit dims (degenerate loops);
-/// - n below MR=4 and m below NR=8 (partial register tiles / naive dispatch);
-/// - primes and non-multiples of 4 and 8 (remainder row/column handling);
-/// - k = 255, 256, 257, 512 (KC cache-block boundary, one and two blocks);
+/// - n below MR=4 and m below 8 (partial register tiles / naive dispatch);
+/// - primes and non-multiples of 4 and 16 (remainder row/column handling);
+/// - every m mod NR=16 remainder 1..=15, in one partial panel (m < 16) and
+///   after a full one (m = 17..=31), with n mod 4 cycling through 0..=3;
+/// - the Table III widths 60, 63, 102 and 120, and 64/65, on either side of
+///   the AVX-512 four-panel group (60 = 4 panels, 102 = 4 + 3, 120 = 4 + 4);
+/// - k = 255, 256, 257, 300, 512 (KC cache-block boundary, one and two
+///   blocks);
 /// - products on both sides of TILED_MIN_MACS = 65536 (dispatch threshold).
 const SHAPES: &[(usize, usize, usize)] = &[
     (0, 5, 7),
@@ -136,6 +147,46 @@ const SHAPES: &[(usize, usize, usize)] = &[
     (33, 512, 9),
     (128, 128, 128),
     (61, 259, 67),
+    // m mod 16 = 1..=15 in a single partial panel.
+    (21, 300, 1),
+    (22, 300, 2),
+    (23, 300, 3),
+    (24, 300, 4),
+    (25, 300, 5),
+    (26, 300, 6),
+    (27, 300, 7),
+    (28, 300, 8),
+    (29, 300, 9),
+    (30, 300, 10),
+    (31, 300, 11),
+    (32, 300, 12),
+    (33, 300, 13),
+    (34, 300, 14),
+    (35, 300, 15),
+    // m mod 16 = 1..=15 after one full panel.
+    (12, 300, 17),
+    (13, 300, 18),
+    (14, 300, 19),
+    (15, 300, 20),
+    (16, 260, 21),
+    (17, 260, 22),
+    (18, 260, 23),
+    (19, 260, 24),
+    (20, 200, 25),
+    (21, 200, 26),
+    (22, 200, 27),
+    (23, 200, 28),
+    (24, 160, 29),
+    (25, 160, 30),
+    (26, 160, 31),
+    // Table III widths and the AVX-512 panel groups.
+    (29, 102, 60),
+    (30, 60, 63),
+    (31, 63, 64),
+    (32, 40, 65),
+    (33, 60, 102),
+    (34, 102, 120),
+    (7, 257, 60),
 ];
 
 fn naive_vs_tiled(rng: &mut StdRng, n: usize, k: usize, m: usize) {
@@ -171,47 +222,77 @@ fn tiled_bits_match_naive_on_adversarial_shapes() {
     }
 }
 
-/// `matmul_tn_into` against the product it replaces in the matmul
-/// backward: transpose `a` (stored `k x n`), then `matmul_into`.
-fn transpose_free_vs_transposed(rng: &mut StdRng, n: usize, k: usize, m: usize) {
-    let mut a = vec![0.0f32; k * n];
-    let mut b = vec![0.0f32; k * m];
-    adversarial_fill(&mut a, rng);
-    adversarial_fill(&mut b, rng);
-    let mut at = vec![0.0f32; n * k];
-    for p in 0..k {
-        for i in 0..n {
-            at[i * k + p] = a[p * n + i];
+/// Row-major transpose of an `rows x cols` matrix.
+fn transposed(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    let mut t = vec![0.0f32; x.len()];
+    for r in 0..rows {
+        for c in 0..cols {
+            t[c * rows + r] = x[r * cols + c];
         }
     }
-    let mut want = vec![f32::NAN; n * m];
-    let mut got = vec![f32::NAN; n * m];
-    matmul_into(&at, &b, &mut want, n, k, m);
-    matmul_tn_into(&a, &b, &mut got, n, k, m);
-    for (i, (x, y)) in want.iter().zip(&got).enumerate() {
+    t
+}
+
+fn assert_same_bits(want: &[f32], got: &[f32], what: &str, n: usize, k: usize, m: usize) {
+    for (i, (x, y)) in want.iter().zip(got).enumerate() {
         assert_eq!(
             x.to_bits(),
             y.to_bits(),
-            "bit mismatch at [{}, {}] of {n}x{k}x{m}: transposed {x:e} vs in place {y:e}",
+            "{what}: bit mismatch at [{}, {}] of {n}x{k}x{m}: {x:e} vs {y:e}",
             i / m.max(1),
             i % m.max(1),
         );
     }
 }
 
+/// `matmul_tn_into` and `matmul_nt_into` against the products they replace
+/// in the matmul backward: transpose the operand, then `matmul_into`.
+fn transpose_free_vs_transposed(rng: &mut StdRng, n: usize, k: usize, m: usize) {
+    let mut a = vec![0.0f32; n * k];
+    let mut b = vec![0.0f32; k * m];
+    adversarial_fill(&mut a, rng);
+    adversarial_fill(&mut b, rng);
+    let mut want = vec![f32::NAN; n * m];
+    matmul_into(&a, &b, &mut want, n, k, m);
+
+    // tn: `a` handed over as its transpose (stored k x n).
+    let mut got = vec![f32::NAN; n * m];
+    matmul_tn_into(&transposed(&a, n, k), &b, &mut got, n, k, m);
+    assert_same_bits(&want, &got, "tn vs transposed", n, k, m);
+
+    // nt: `b` handed over as its transpose (stored m x k).
+    let mut got = vec![f32::NAN; n * m];
+    matmul_nt_into(&a, &transposed(&b, k, m), &mut got, n, k, m);
+    assert_same_bits(&want, &got, "nt vs transposed", n, k, m);
+}
+
+/// Matmul-backward shapes: weight gradients (`n` = a layer's fan-in, `k` =
+/// batch rows, `m` = fan-out: tall-and-skinny `a`) and input gradients
+/// (`n` = batch rows, `k` = fan-out, `m` = fan-in), both sides of the
+/// threshold.
+const GRAD_SHAPES: &[(usize, usize, usize)] = &[
+    (102, 700, 60),
+    (12, 1500, 12),
+    (63, 40, 20),
+    (7, 5, 3),
+    (700, 60, 102),
+    (1500, 12, 12),
+    (40, 20, 63),
+];
+
 #[test]
 fn transpose_free_product_matches_transpose_then_matmul() {
     let _l = lock();
     let mut rng = StdRng::seed_from_u64(0x7A5E);
-    // Weight-gradient shapes (`n` = a layer's fan-in, `k` = batch rows,
-    // `m` = fan-out): tall-and-skinny `a`, both sides of the threshold.
-    let grads: &[(usize, usize, usize)] =
-        &[(102, 700, 60), (12, 1500, 12), (63, 40, 20), (7, 5, 3)];
-    assert!(grads.iter().any(|&(n, k, m)| n * k * m >= TILED_MIN_MACS));
-    assert!(grads.iter().any(|&(n, k, m)| n * k * m < TILED_MIN_MACS));
+    assert!(GRAD_SHAPES
+        .iter()
+        .any(|&(n, k, m)| n * k * m >= TILED_MIN_MACS));
+    assert!(GRAD_SHAPES
+        .iter()
+        .any(|&(n, k, m)| n * k * m < TILED_MIN_MACS));
     for threads in [1usize, 4] {
         let _g = ThreadGuard::set(threads);
-        for &(n, k, m) in SHAPES.iter().chain(grads) {
+        for &(n, k, m) in SHAPES.iter().chain(GRAD_SHAPES) {
             transpose_free_vs_transposed(&mut rng, n, k, m);
         }
     }
@@ -270,30 +351,44 @@ fn graph_matmul_bits_invariant_to_arena_and_threads() {
     }
 }
 
-/// Run the tiled kernel twice on the same inputs — once with the AVX2
-/// microkernels forced off, once with auto dispatch — and require raw-bit
-/// equality. On hosts without AVX2+FMA both runs take the scalar path and
-/// the test degenerates to a (still valid) self-consistency check.
-fn tiled_scalar_vs_simd(rng: &mut StdRng, n: usize, k: usize, m: usize) {
+/// The dispatch legs every tier test runs: forced scalar, AVX2-capped, and
+/// the auto choice (AVX-512 where detected). A leg whose tier the host
+/// lacks falls back to the next narrower one.
+const TIERS: [&str; 3] = ["scalar", "avx2-cap", "auto"];
+
+fn under_tier<R>(tier: &str, f: impl FnOnce() -> R) -> R {
+    let _s = match tier {
+        "scalar" => Some(SimdGuard::force_scalar()),
+        "avx2-cap" => Some(SimdGuard::cap_avx2()),
+        _ => None,
+    };
+    f()
+}
+
+/// Run the tiled nn product and the tn and nt products on the same inputs
+/// under every tier, and require raw-bit equality with the scalar leg.
+fn tiers_agree(rng: &mut StdRng, n: usize, k: usize, m: usize) {
     let mut a = vec![0.0f32; n * k];
     let mut b = vec![0.0f32; k * m];
     matmul_bit_adversarial_fill(&mut a, rng);
     matmul_bit_adversarial_fill(&mut b, rng);
-    let mut out_scalar = vec![f32::NAN; n * m];
-    let mut out_simd = vec![f32::NAN; n * m];
-    {
-        let _s = SimdGuard::force_scalar();
-        matmul_tiled_into(&a, &b, &mut out_scalar, n, k, m);
-    }
-    matmul_tiled_into(&a, &b, &mut out_simd, n, k, m);
-    for (i, (x, y)) in out_scalar.iter().zip(&out_simd).enumerate() {
-        assert_eq!(
-            x.to_bits(),
-            y.to_bits(),
-            "bit mismatch at [{}, {}] of {n}x{k}x{m}: scalar {x:e} vs simd {y:e}",
-            i / m.max(1),
-            i % m.max(1),
-        );
+    // The same stored slices serve as A/B, Aᵀ (k x n) and Bᵀ (m x k).
+    let run = |tier: &str| {
+        under_tier(tier, || {
+            let mut nn = vec![f32::NAN; n * m];
+            let mut tn = vec![f32::NAN; n * m];
+            let mut nt = vec![f32::NAN; n * m];
+            matmul_tiled_into(&a, &b, &mut nn, n, k, m);
+            matmul_tn_into(&a, &b, &mut tn, n, k, m);
+            matmul_nt_into(&a, &b, &mut nt, n, k, m);
+            [nn, tn, nt]
+        })
+    };
+    let scalar = run(TIERS[0]);
+    for tier in &TIERS[1..] {
+        for (what, (want, got)) in ["nn", "tn", "nt"].iter().zip(scalar.iter().zip(run(tier))) {
+            assert_same_bits(want, &got, &format!("{what} scalar vs {tier}"), n, k, m);
+        }
     }
 }
 
@@ -303,8 +398,8 @@ fn tiled_simd_bits_match_scalar_on_adversarial_bit_patterns() {
     let mut rng = StdRng::seed_from_u64(0x51AD);
     for threads in [1usize, 8] {
         let _g = ThreadGuard::set(threads);
-        for &(n, k, m) in SHAPES {
-            tiled_scalar_vs_simd(&mut rng, n, k, m);
+        for &(n, k, m) in SHAPES.iter().chain(GRAD_SHAPES) {
+            tiers_agree(&mut rng, n, k, m);
         }
     }
 }

@@ -251,10 +251,11 @@ fn arena_pooled_training_bitwise_equal_to_plain() {
 fn arena_pooled_simd_training_bitwise_equal_to_forced_scalar() {
     // The SIMD dispatch seam composes with the other determinism knobs:
     // run the full attention training loop on arena-pooled tapes with the
-    // AVX2 kernels forced off and with auto dispatch, at 1 and 8 threads,
-    // and require the final parameter bits of all four runs to agree. On
-    // hosts without AVX2+FMA this degenerates to a (still valid)
-    // arena x thread-count consistency check.
+    // SIMD kernels forced off, with the matmul tier capped at AVX2 and
+    // with auto dispatch, at 1 and 8 threads, and require the final
+    // parameter bits of all six runs to agree. On hosts without AVX2+FMA
+    // this degenerates to a (still valid) arena x thread-count consistency
+    // check.
     use siterec_tensor::TapeArena;
     let _l = lock();
     let n_nodes = 110;
@@ -264,8 +265,12 @@ fn arena_pooled_simd_training_bitwise_equal_to_forced_scalar() {
     let src: Vec<usize> = (0..n_edges).map(|_| rng.gen_range(0..n_nodes)).collect();
     let dst: Vec<usize> = (0..n_edges).map(|_| rng.gen_range(0..n_nodes)).collect();
     let target = Tensor::zeros(n_nodes, dim);
-    let run = |force_scalar: bool| -> Vec<Vec<u32>> {
-        let _s = force_scalar.then(SimdGuard::force_scalar);
+    let run = |leg: &str| -> Vec<Vec<u32>> {
+        let _s = match leg {
+            "scalar" => Some(SimdGuard::force_scalar()),
+            "avx2-cap" => Some(SimdGuard::cap_avx2()),
+            _ => None,
+        };
         let arena = TapeArena::new();
         let mut ps = ParamStore::new(29);
         let emb = ps.add("emb", n_nodes, dim, Init::XavierUniform);
@@ -293,15 +298,15 @@ fn arena_pooled_simd_training_bitwise_equal_to_forced_scalar() {
     let mut results = Vec::new();
     for threads in [1usize, 8] {
         let _g = ThreadGuard::set(threads);
-        for force_scalar in [true, false] {
-            results.push((threads, force_scalar, run(force_scalar)));
+        for leg in ["scalar", "avx2-cap", "auto"] {
+            results.push((threads, leg, run(leg)));
         }
     }
     let baseline = &results[0].2;
-    for (threads, force_scalar, bits) in &results[1..] {
+    for (threads, leg, bits) in &results[1..] {
         assert_eq!(
             bits, baseline,
-            "params differ at threads={threads} force_scalar={force_scalar}"
+            "params differ at threads={threads} leg={leg}"
         );
     }
 }
