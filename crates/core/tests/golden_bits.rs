@@ -3,7 +3,9 @@
 //! Trains the tiny Full model (the `tiny` serving recipe's shape) for eight
 //! epochs and compares a hash of every final parameter bit against a
 //! constant recorded before the node-level attention was fused into one
-//! tape op. Any change to the arithmetic of training — op fusion, kernel
+//! tape op. The `w/o NA` variant, whose node-level aggregation is a
+//! `segment_mean` instead of `edge_attention`, is pinned the same way.
+//! Any change to the arithmetic of training — op fusion, kernel
 //! rewrites, accumulation order, a stray `-0.0` — changes the hash, so a
 //! "same bits" refactor that is not fails here instead of drifting silently.
 //!
@@ -17,6 +19,8 @@ use siterec_sim::{O2oDataset, SimConfig};
 /// FNV-1a-64 over every parameter's name, shape and value bits, in store
 /// order, after eight epochs.
 const GOLDEN: u64 = 0x94ac_83db_5ad3_ccd4;
+/// The same hash for [`Variant::WithoutNodeAttention`].
+const GOLDEN_WITHOUT_NA: u64 = 0x868c_bb90_c447_5ec1;
 
 fn fnv1a(h: &mut u64, bytes: &[u8]) {
     for &b in bytes {
@@ -25,7 +29,7 @@ fn fnv1a(h: &mut u64, bytes: &[u8]) {
     }
 }
 
-fn trained_param_hash(threads: usize) -> u64 {
+fn trained_param_hash(variant: Variant, threads: usize) -> u64 {
     let data = O2oDataset::generate(SimConfig::tiny(7 ^ 0x51));
     let task = SiteRecTask::build(&data, 0.8, 9);
     let cfg = SiteRecConfig {
@@ -37,7 +41,7 @@ fn trained_param_hash(threads: usize) -> u64 {
         epochs: 8,
         lr: 1e-2,
         seed: 7,
-        variant: Variant::Full,
+        variant,
         parallel: siterec_tensor::ParallelConfig::with_threads(threads),
         ..Default::default()
     };
@@ -55,13 +59,22 @@ fn trained_param_hash(threads: usize) -> u64 {
     h
 }
 
-#[test]
-fn tiny_full_model_trains_to_the_golden_parameter_bits() {
+fn assert_golden(variant: Variant, golden: u64) {
     for threads in [1, 2] {
         assert_eq!(
-            format!("{:#018x}", trained_param_hash(threads)),
-            format!("{GOLDEN:#018x}"),
-            "parameter bits drifted from the golden run at {threads} thread(s)"
+            format!("{:#018x}", trained_param_hash(variant, threads)),
+            format!("{golden:#018x}"),
+            "{variant:?} parameter bits drifted from the golden run at {threads} thread(s)"
         );
     }
+}
+
+#[test]
+fn tiny_full_model_trains_to_the_golden_parameter_bits() {
+    assert_golden(Variant::Full, GOLDEN);
+}
+
+#[test]
+fn tiny_without_node_attention_model_trains_to_the_golden_parameter_bits() {
+    assert_golden(Variant::WithoutNodeAttention, GOLDEN_WITHOUT_NA);
 }
