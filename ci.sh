@@ -72,6 +72,7 @@ run env SITEREC_NO_SIMD=1 cargo test -q --release -p siterec-tensor \
     --test kernel_equivalence --test parallel_equivalence \
     --test edge_attention_equivalence
 run env SITEREC_NO_SIMD=1 cargo test -q --release -p siterec-core --test golden_bits
+run env SITEREC_NO_SIMD=1 cargo test -q --release -p siterec-baselines --test golden_bits
 # Multicore no-slowdown floor: at no thread count may any kernel run slower
 # than serial. Armed only on >=2-core hosts (SITEREC_PARALLEL_GATE=1 exits
 # non-zero on an armed failure); on a 1-core host the artifact records the

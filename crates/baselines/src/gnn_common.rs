@@ -1,15 +1,17 @@
 //! Shared building blocks for the graph-neural baselines (GC-MC, GraphRec,
 //! RGCN, HGT): featured node sets, mean/attention aggregation over flattened
-//! edge lists, and the Adam training loop.
+//! edge lists, pair scoring, and the Adam training loop.
 
+use siterec_graphs::SiteRecTask;
 use siterec_obs as obs;
 use siterec_tensor::checkpoint::{self, ByteReader, ByteWriter, CheckpointPolicy, TrainState};
 use siterec_tensor::nn::{Embedding, Linear};
 use siterec_tensor::optim::{Adam, Optimizer};
 use siterec_tensor::{
-    record_recovery, record_train_error, retry_seed, Bindings, Graph, GuardConfig, Init, ParamId,
-    ParamStore, RecoveryEvent, TapeArena, Tensor, TrainError, TrainGuard, Var,
+    record_recovery, record_train_error, retry_seed, Bindings, Graph, GuardConfig, Index, Init,
+    ParamId, ParamStore, RecoveryEvent, TapeArena, Tensor, TrainError, TrainGuard, Var,
 };
+use std::sync::Arc;
 
 /// A node set with ID embeddings and (optional) input features, fused by a
 /// linear projection into the model dimension.
@@ -62,20 +64,19 @@ impl NodeSet {
     }
 }
 
-/// Degree-normalized mean aggregation of `src_emb` rows into `n_dst` rows.
+/// Degree-normalized mean aggregation of `src_emb` rows into `dsts.n()` rows.
 pub fn mean_aggregate(
     g: &mut Graph,
     src_emb: Var,
-    srcs: &[usize],
-    dsts: &[usize],
-    n_dst: usize,
+    srcs: &Arc<Index>,
+    dsts: &Arc<Index>,
     dim: usize,
 ) -> Var {
     if srcs.is_empty() {
-        return g.constant(Tensor::zeros(n_dst, dim));
+        return g.constant(Tensor::zeros(dsts.n(), dim));
     }
     let msgs = g.gather_rows(src_emb, srcs);
-    g.segment_mean(msgs, dsts, n_dst)
+    g.segment_mean(msgs, dsts)
 }
 
 /// Single-head GAT-style attention aggregation with a learned scoring vector.
@@ -95,19 +96,17 @@ impl GatAggregator {
 
     /// Aggregate `src_emb` into destinations with attention computed from
     /// `[h_src, h_dst]` pairs.
-    #[allow(clippy::too_many_arguments)]
     pub fn forward(
         &self,
         g: &mut Graph,
         binds: &Bindings,
         src_emb: Var,
         dst_emb: Var,
-        srcs: &[usize],
-        dsts: &[usize],
-        n_dst: usize,
+        srcs: &Arc<Index>,
+        dsts: &Arc<Index>,
     ) -> Var {
         if srcs.is_empty() {
-            return g.constant(Tensor::zeros(n_dst, self.dim));
+            return g.constant(Tensor::zeros(dsts.n(), self.dim));
         }
         let s = g.gather_rows(src_emb, srcs);
         let d = g.gather_rows(dst_emb, dsts);
@@ -115,10 +114,45 @@ impl GatAggregator {
         let att = binds.var(self.att);
         let raw = g.matmul(pair, att);
         let score = g.leaky_relu(raw, 0.2);
-        let alpha = g.segment_softmax(dsts, score);
+        let alpha = g.segment_softmax(score, dsts);
         let weighted = g.mul_col_broadcast(s, alpha);
-        g.segment_sum(weighted, dsts, n_dst)
+        g.segment_sum(weighted, dsts)
     }
+}
+
+/// Score `(region, type)` pairs in evaluation mode. `forward` maps the
+/// store-region and type node indices of the pairs to an `n x 1`
+/// prediction; regions that host no stores (no store-region node) score 0.
+pub fn predict_pairs(
+    task: &SiteRecTask,
+    ps: &ParamStore,
+    pairs: &[(usize, usize)],
+    forward: impl FnOnce(&mut Graph, &Bindings, &Arc<Index>, &Arc<Index>) -> Var,
+) -> Vec<f32> {
+    let mut out = vec![0.0f32; pairs.len()];
+    let mut idx = Vec::new();
+    let (mut ss, mut aa) = (Vec::new(), Vec::new());
+    for (i, &(region, ty)) in pairs.iter().enumerate() {
+        if let Some(s) = task.hetero.s_of_region.get(region).copied().flatten() {
+            idx.push(i);
+            ss.push(s);
+            aa.push(ty);
+        }
+    }
+    if ss.is_empty() {
+        return out;
+    }
+    let ss = Index::new(ss, task.hetero.num_s());
+    let aa = Index::new(aa, task.n_types);
+    let mut g = Graph::new();
+    g.training = false;
+    let binds = ps.bind(&mut g);
+    let pred = forward(&mut g, &binds, &ss, &aa);
+    let v = g.value(pred);
+    for (j, &i) in idx.iter().enumerate() {
+        out[i] = v.get(j, 0);
+    }
+    out
 }
 
 /// Configuration of the shared Adam training loop.
@@ -396,11 +430,18 @@ mod tests {
     fn mean_aggregate_empty_and_nonempty() {
         let mut g = Graph::new();
         let src = g.constant(Tensor::from_rows(&[vec![2.0, 0.0], vec![4.0, 2.0]]));
-        let out = mean_aggregate(&mut g, src, &[0, 1], &[0, 0], 2, 2);
+        let out = mean_aggregate(
+            &mut g,
+            src,
+            &Index::new(vec![0, 1], 2),
+            &Index::new(vec![0, 0], 2),
+            2,
+        );
         let v = g.value(out);
         assert_eq!(v.row_slice(0), &[3.0, 1.0]);
         assert_eq!(v.row_slice(1), &[0.0, 0.0]);
-        let empty = mean_aggregate(&mut g, src, &[], &[], 3, 2);
+        let none = |n| Index::new(Vec::new(), n);
+        let empty = mean_aggregate(&mut g, src, &none(2), &none(3), 2);
         assert_eq!(g.value(empty).shape(), (3, 2));
     }
 
@@ -412,7 +453,8 @@ mod tests {
         let binds = ps.bind(&mut g);
         let src = g.constant(Tensor::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0]]));
         let dst = g.constant(Tensor::from_rows(&[vec![0.5, 0.5]]));
-        let out = gat.forward(&mut g, &binds, src, dst, &[0, 1], &[0, 0], 1);
+        let (srcs, dsts) = (Index::new(vec![0, 1], 2), Index::new(vec![0, 0], 1));
+        let out = gat.forward(&mut g, &binds, src, dst, &srcs, &dsts);
         let v = g.value(out);
         // Attention weights sum to 1, so output coordinates sum to 1.
         assert!((v.get(0, 0) + v.get(0, 1) - 1.0).abs() < 1e-5);

@@ -31,8 +31,9 @@ use siterec_bench::context::{is_smoke, write_artifact};
 use siterec_tensor::kernels::{matmul_naive_into, matmul_tiled_into};
 use siterec_tensor::optim::{Adam, Optimizer};
 use siterec_tensor::simd::{self, SimdGuard};
-use siterec_tensor::{Graph, Init, ParamStore, TapeArena, Tensor};
+use siterec_tensor::{Graph, Index, Init, ParamStore, TapeArena, Tensor};
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Median wall-clock seconds of `reps` runs of `f`.
@@ -120,13 +121,13 @@ impl AbRow {
 /// path): one scores column, CSR-style segment ids, full
 /// max→exp→sum→divide pipeline per repetition.
 fn bench_softmax_ab(reps: usize, n_edges: usize, n_seg: usize) -> AbRow {
-    let seg: Vec<usize> = (0..n_edges).map(|i| (i * 131) % n_seg).collect();
+    let seg = Index::new((0..n_edges).map(|i| (i * 131) % n_seg).collect(), n_seg);
     let mut scores = Tensor::zeros(n_edges, 1);
     lcg_fill(scores.data_mut(), 0xA77E);
     let forward = || -> Vec<u32> {
         let mut g = Graph::new();
         let s = g.param(scores.clone());
-        let att = g.segment_softmax(&seg, s);
+        let att = g.segment_softmax(s, &seg);
         g.value(att).data().iter().map(|v| v.to_bits()).collect()
     };
     let scalar_bits = {
@@ -198,9 +199,8 @@ fn train_epoch(
     opt: &mut Adam,
     emb_id: siterec_tensor::ParamId,
     head_id: siterec_tensor::ParamId,
-    src: &[usize],
-    dst: &[usize],
-    n_nodes: usize,
+    src: &Arc<Index>,
+    dst: &Arc<Index>,
     target: &Tensor,
 ) {
     let binds = ps.bind(g);
@@ -208,9 +208,9 @@ fn train_epoch(
     let hs = g.gather_rows(emb, src);
     let ht = g.gather_rows(emb, dst);
     let s = g.row_dot(hs, ht);
-    let alpha = g.segment_softmax(dst, s);
+    let alpha = g.segment_softmax(s, dst);
     let wv = g.mul_col_broadcast(hs, alpha);
-    let agg = g.segment_sum(wv, dst, n_nodes);
+    let agg = g.segment_sum(wv, dst);
     let h = g.matmul(agg, binds.var(head_id));
     let act = g.tanh(h);
     let loss = g.mse_loss(act, target);
@@ -231,8 +231,8 @@ struct ArenaRun {
 }
 
 fn bench_arena(epochs: usize, n_nodes: usize, n_edges: usize, dim: usize) -> ArenaRun {
-    let src: Vec<usize> = (0..n_edges).map(|i| (i * 31) % n_nodes).collect();
-    let dst: Vec<usize> = (0..n_edges).map(|i| (i * 7) % n_nodes).collect();
+    let src = Index::new((0..n_edges).map(|i| (i * 31) % n_nodes).collect(), n_nodes);
+    let dst = Index::new((0..n_edges).map(|i| (i * 7) % n_nodes).collect(), n_nodes);
     let target = Tensor::zeros(n_nodes, dim);
 
     let run = |arena: Option<TapeArena>| {
@@ -248,7 +248,7 @@ fn bench_arena(epochs: usize, n_nodes: usize, n_edges: usize, dim: usize) -> Are
                 None => Graph::with_seed(e as u64),
             };
             train_epoch(
-                &mut g, &mut ps, &mut opt, emb_id, head_id, &src, &dst, n_nodes, &target,
+                &mut g, &mut ps, &mut opt, emb_id, head_id, &src, &dst, &target,
             );
             drop(g);
             if e == 0 {

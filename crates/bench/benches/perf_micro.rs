@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use siterec_core::{O2SiteRec, SiteRecConfig};
 use siterec_graphs::{HeteroGraph, HeteroParams, MobilityGraph, SiteRecTask, Split};
 use siterec_sim::{O2oDataset, SimConfig};
-use siterec_tensor::{Graph, Init, ParamStore, Tensor};
+use siterec_tensor::{Graph, Index, Init, ParamStore, Tensor};
 use std::time::Duration;
 
 fn bench_tensor_kernels(c: &mut Criterion) {
@@ -26,8 +26,8 @@ fn bench_tensor_kernels(c: &mut Criterion) {
     // A representative attention block on 10k edges.
     let mut ps = ParamStore::new(1);
     let table = ps.add("t", 256, 90, Init::XavierUniform);
-    let edges: Vec<usize> = (0..10_000).map(|i| i % 256).collect();
-    let dsts: Vec<usize> = (0..10_000).map(|i| (i * 7) % 256).collect();
+    let edges = Index::new((0..10_000).map(|i| i % 256).collect(), 256);
+    let dsts = Index::new((0..10_000).map(|i| (i * 7) % 256).collect(), 256);
     group.bench_function("edge_attention_10k", |bch| {
         bch.iter(|| {
             let mut g = Graph::new();
@@ -36,9 +36,9 @@ fn bench_tensor_kernels(c: &mut Criterion) {
             let k = g.gather_rows(emb, &edges);
             let q = g.gather_rows(emb, &dsts);
             let s = g.row_dot(k, q);
-            let alpha = g.segment_softmax(&dsts, s);
+            let alpha = g.segment_softmax(s, &dsts);
             let w = g.mul_col_broadcast(k, alpha);
-            let agg = g.segment_sum(w, &dsts, 256);
+            let agg = g.segment_sum(w, &dsts);
             let loss = g.mean_all(agg);
             g.backward(loss);
             std::hint::black_box(g.grad(emb).is_some())

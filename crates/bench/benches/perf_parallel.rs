@@ -28,7 +28,7 @@ use siterec_eval::{effective_fanout_threads, run_jobs};
 use siterec_graphs::SiteRecTask;
 use siterec_sim::{O2oDataset, SimConfig};
 use siterec_tensor::parallel::effective_kernel_workers;
-use siterec_tensor::{Graph, Init, ParamStore, Tensor};
+use siterec_tensor::{Graph, Index, Init, ParamStore, Tensor};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -74,8 +74,8 @@ fn bench_kernels(reps: usize, scale: usize) -> Vec<Row> {
     let n_edges = 12_000 * scale * scale;
     let dim = 48;
     let emb0 = Tensor::full(n_nodes, dim, 0.1);
-    let src: Vec<usize> = (0..n_edges).map(|i| (i * 31) % n_nodes).collect();
-    let dst: Vec<usize> = (0..n_edges).map(|i| (i * 7) % n_nodes).collect();
+    let src = Index::new((0..n_edges).map(|i| (i * 31) % n_nodes).collect(), n_nodes);
+    let dst = Index::new((0..n_edges).map(|i| (i * 7) % n_nodes).collect(), n_nodes);
 
     let mut ps = ParamStore::new(1);
     let w = ps.add("w", 256 * scale, 256 * scale, Init::XavierUniform);
@@ -113,9 +113,9 @@ fn bench_kernels(reps: usize, scale: usize) -> Vec<Row> {
             let hs = g.gather_rows(emb, &src);
             let ht = g.gather_rows(emb, &dst);
             let s = g.row_dot(hs, ht);
-            let alpha = g.segment_softmax(&dst, s);
+            let alpha = g.segment_softmax(s, &dst);
             let wv = g.mul_col_broadcast(hs, alpha);
-            let agg = g.segment_sum(wv, &dst, n_nodes);
+            let agg = g.segment_sum(wv, &dst);
             let loss = g.mean_all(agg);
             g.backward(loss);
             black_box(g.grad(emb).is_some());
@@ -248,10 +248,9 @@ fn run() -> bool {
         );
     }
 
-    // Body rendered by hand (the serde_json dependency may be the offline
-    // stub); host metadata and file placement come from the shared
-    // `write_artifact` helper so BENCH_parallel.json and BENCH_profile.json
-    // stay structurally consistent.
+    // Body rendered by hand; host metadata and file placement come from the
+    // shared `write_artifact` helper so BENCH_parallel.json and
+    // BENCH_profile.json stay structurally consistent.
     let mut body = String::from("  \"threads\": [1, 2, 4, 8],\n  \"kernels\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let secs: Vec<String> = r.secs.iter().map(|s| format!("{s:.6}")).collect();

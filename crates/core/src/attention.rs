@@ -18,7 +18,8 @@
 //! of source embeddings ([`RelationAttention::forward_mean`]).
 
 use siterec_tensor::nn::Linear;
-use siterec_tensor::{Bindings, Graph, Init, ParamId, ParamStore, Tensor, Var};
+use siterec_tensor::{Bindings, Graph, Index, Init, ParamId, ParamStore, Tensor, Var};
+use std::sync::Arc;
 
 /// Multi-head attention parameters of one relation (edge type).
 pub struct RelationAttention {
@@ -63,12 +64,12 @@ impl RelationAttention {
 
     /// Attention-aggregate messages into each destination node.
     ///
-    /// * `src_emb`: `n_src x d` source-node embeddings;
-    /// * `dst_emb`: `n_dst x d` destination-node embeddings;
+    /// * `src_emb`: `srcs.n() x d` source-node embeddings;
+    /// * `dst_emb`: `dsts.n() x d` destination-node embeddings;
     /// * `srcs`/`dsts`: the relation's edge list (indices into the above);
-    /// * `attrs`: `E x attr_dim` edge attributes (pass a zero-width tensor
-    ///   var when the relation has none);
-    /// * returns `n_dst x d`.
+    /// * `attrs`: `E x attr_dim` edge attributes, or `None` when the
+    ///   relation has none;
+    /// * returns `dsts.n() x d`.
     #[allow(clippy::too_many_arguments)]
     pub fn forward(
         &self,
@@ -76,13 +77,12 @@ impl RelationAttention {
         binds: &Bindings,
         src_emb: Var,
         dst_emb: Var,
-        srcs: &[usize],
-        dsts: &[usize],
+        srcs: &Arc<Index>,
+        dsts: &Arc<Index>,
         attrs: Option<Var>,
-        n_dst: usize,
     ) -> Var {
         if srcs.is_empty() {
-            return g.constant(Tensor::zeros(n_dst, self.d));
+            return g.constant(Tensor::zeros(dsts.n(), self.d));
         }
         let src_g = g.gather_rows(src_emb, srcs);
         let fuse_in = match attrs {
@@ -99,7 +99,7 @@ impl RelationAttention {
         // K W_e Qᵀ, LeakyReLU, softmax over each destination's in-edges,
         // α-weighted key sums, ReLU, heads side by side.
         let w_e = binds.var(self.w_e);
-        g.edge_attention(k_all, q_all, w_e, dsts, self.heads, n_dst)
+        g.edge_attention(k_all, q_all, w_e, dsts, self.heads)
     }
 
     /// Mean aggregation (the `w/o NA` variant): ignores attributes, edge
@@ -109,15 +109,14 @@ impl RelationAttention {
         &self,
         g: &mut Graph,
         src_emb: Var,
-        srcs: &[usize],
-        dsts: &[usize],
-        n_dst: usize,
+        srcs: &Arc<Index>,
+        dsts: &Arc<Index>,
     ) -> Var {
         if srcs.is_empty() {
-            return g.constant(Tensor::zeros(n_dst, self.d));
+            return g.constant(Tensor::zeros(dsts.n(), self.d));
         }
         let src_g = g.gather_rows(src_emb, srcs);
-        g.segment_mean(src_g, dsts, n_dst)
+        g.segment_mean(src_g, dsts)
     }
 }
 
@@ -127,9 +126,9 @@ mod tests {
     use siterec_tensor::optim::{Adam, Optimizer};
 
     /// 3 sources, 2 destinations, 4 edges with a 1-dim attribute.
-    fn toy() -> (Vec<usize>, Vec<usize>, Tensor, Tensor, Tensor) {
-        let srcs = vec![0, 1, 2, 0];
-        let dsts = vec![0, 0, 1, 1];
+    fn toy() -> (Arc<Index>, Arc<Index>, Tensor, Tensor, Tensor) {
+        let srcs = Index::new(vec![0, 1, 2, 0], 3);
+        let dsts = Index::new(vec![0, 0, 1, 1], 2);
         let attrs = Tensor::column(&[0.1, 0.9, 0.5, 0.2]);
         let src_emb = Tensor::from_rows(&[
             vec![1.0, 0.0, 0.0, 0.0],
@@ -150,7 +149,7 @@ mod tests {
         let s = g.constant(src_emb);
         let d = g.constant(dst_emb);
         let a = g.constant(attrs);
-        let out = attn.forward(&mut g, &binds, s, d, &srcs, &dsts, Some(a), 2);
+        let out = attn.forward(&mut g, &binds, s, d, &srcs, &dsts, Some(a));
         let v = g.value(out);
         assert_eq!(v.shape(), (2, 4));
         assert!(!v.has_non_finite());
@@ -164,7 +163,8 @@ mod tests {
         let binds = ps.bind(&mut g);
         let s = g.constant(Tensor::zeros(3, 4));
         let d = g.constant(Tensor::zeros(2, 4));
-        let out = attn.forward(&mut g, &binds, s, d, &[], &[], None, 2);
+        let none = |n| Index::new(Vec::new(), n);
+        let out = attn.forward(&mut g, &binds, s, d, &none(3), &none(2), None);
         assert_eq!(g.value(out).shape(), (2, 4));
         assert_eq!(g.value(out).sum(), 0.0);
     }
@@ -176,7 +176,7 @@ mod tests {
         let attn = RelationAttention::new(&mut ps, "t", 4, 1, 2);
         let mut g = Graph::new();
         let s = g.constant(src_emb);
-        let out = attn.forward_mean(&mut g, s, &srcs, &dsts, 2);
+        let out = attn.forward_mean(&mut g, s, &srcs, &dsts);
         let v = g.value(out);
         // dst 0 <- mean of src 0 and 1.
         assert!((v.get(0, 0) - 0.5).abs() < 1e-6);
@@ -191,8 +191,8 @@ mod tests {
         // carries the target signal. Train the attention block plus a linear
         // readout to predict the target; the loss should fall well below the
         // equal-weight baseline.
-        let srcs = vec![0usize, 1, 0, 1];
-        let dsts = vec![0usize, 0, 1, 1];
+        let srcs = Index::new(vec![0, 1, 0, 1], 2);
+        let dsts = Index::new(vec![0, 0, 1, 1], 2);
         let attrs = Tensor::column(&[0.0, 1.0, 0.0, 1.0]);
         let src_emb = Tensor::from_rows(&[vec![1.0, -1.0, 0.5, 0.3], vec![2.0, 2.0, -1.0, 0.9]]);
         let dst_emb = Tensor::from_rows(&[vec![0.1; 4], vec![0.2; 4]]);
@@ -210,7 +210,7 @@ mod tests {
             let s = g.constant(src_emb.clone());
             let d = g.constant(dst_emb.clone());
             let a = g.constant(attrs.clone());
-            let agg = attn.forward(&mut g, &binds, s, d, &srcs, &dsts, Some(a), 2);
+            let agg = attn.forward(&mut g, &binds, s, d, &srcs, &dsts, Some(a));
             let pred = readout.forward(&mut g, &binds, agg);
             let loss = g.mse_loss(pred, &target);
             last = g.value(loss).item();

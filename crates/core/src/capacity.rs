@@ -21,7 +21,8 @@
 
 use siterec_graphs::{GeoGraph, MobilityGraph};
 use siterec_tensor::nn::{Embedding, Linear};
-use siterec_tensor::{Bindings, Graph, Init, ParamId, ParamStore, Tensor, Var};
+use siterec_tensor::{Bindings, Graph, Index, Init, ParamId, ParamStore, Tensor, Var};
+use std::sync::Arc;
 
 /// Distance scale of the geographic softmax weights (the 800 m edge
 /// threshold).
@@ -30,9 +31,9 @@ const GEO_WEIGHT_SCALE_M: f32 = 800.0;
 /// Pre-computed constant structure of the geographic graph.
 struct GeoStructure {
     /// Edge sources.
-    srcs: Vec<usize>,
+    srcs: Arc<Index>,
     /// Edge destinations.
-    dsts: Vec<usize>,
+    dsts: Arc<Index>,
     /// Softmax-normalized per-edge weights α_geo (constants, Eq. 2).
     alphas: Vec<f32>,
 }
@@ -41,11 +42,11 @@ struct GeoStructure {
 /// aggregation; the directed originals are kept for reconstruction).
 struct MobStructure {
     /// Symmetrized aggregation edges.
-    agg_srcs: Vec<usize>,
-    agg_dsts: Vec<usize>,
+    agg_srcs: Arc<Index>,
+    agg_dsts: Arc<Index>,
     /// Directed reconstruction edges.
-    rec_srcs: Vec<usize>,
-    rec_dsts: Vec<usize>,
+    rec_srcs: Arc<Index>,
+    rec_dsts: Arc<Index>,
     /// Normalized delivery-time targets, one per reconstruction edge.
     targets: Tensor,
 }
@@ -108,7 +109,11 @@ impl CapacityModel {
             .zip(&dsts)
             .map(|(&w, &d)| w / denom[d].max(1e-12))
             .collect();
-        let geo = GeoStructure { srcs, dsts, alphas };
+        let geo = GeoStructure {
+            srcs: Index::new(srcs, n_regions),
+            dsts: Index::new(dsts, n_regions),
+            alphas,
+        };
 
         let mob = mobility
             .edges
@@ -129,10 +134,10 @@ impl CapacityModel {
                     targets.push(mobility.normalized_minutes(e));
                 }
                 MobStructure {
-                    agg_srcs,
-                    agg_dsts,
-                    rec_srcs,
-                    rec_dsts,
+                    agg_srcs: Index::new(agg_srcs, n_regions),
+                    agg_dsts: Index::new(agg_dsts, n_regions),
+                    rec_srcs: Index::new(rec_srcs, n_regions),
+                    rec_dsts: Index::new(rec_dsts, n_regions),
                     targets: Tensor::column(&targets),
                 }
             })
@@ -158,7 +163,6 @@ impl CapacityModel {
     /// Full forward pass: geographic aggregation (shared), per-period
     /// mobility aggregation, fusion, and delivery-time reconstruction.
     pub fn forward(&self, g: &mut Graph, binds: &Bindings) -> CapacityOutput {
-        let n = self.n_regions();
         let b0 = self.b0.all(binds);
 
         // --- geographic semantic aggregation (Eqs. 2-3) -------------------
@@ -166,7 +170,7 @@ impl CapacityModel {
         for _ in 0..self.geo_layers {
             let msgs = g.gather_rows(bg, &self.geo.srcs);
             let weighted = g.scale_rows_const(msgs, &self.geo.alphas);
-            let agg = g.segment_sum(weighted, &self.geo.dsts, n);
+            let agg = g.segment_sum(weighted, &self.geo.dsts);
             let act = g.relu(agg);
             bg = g.add(act, bg); // σ(Σ α b) + b^{l-1}
         }
@@ -184,9 +188,9 @@ impl CapacityModel {
                 let pair = g.concat_cols(&[src_e, dst_e]);
                 let raw = g.matmul(pair, psi);
                 let score = g.leaky_relu(raw, 0.2);
-                let alpha = g.segment_softmax(&mob.agg_dsts, score);
+                let alpha = g.segment_softmax(score, &mob.agg_dsts);
                 let weighted = g.mul_col_broadcast(src_e, alpha);
-                let agg = g.segment_sum(weighted, &mob.agg_dsts, n);
+                let agg = g.segment_sum(weighted, &mob.agg_dsts);
                 let act = g.relu(agg);
                 g.add(act, b0) // σ(Σ α b) + b⁰
             };
@@ -301,7 +305,7 @@ mod tests {
         let mut ps = ParamStore::new(4);
         let m = CapacityModel::new(&mut ps, d.num_regions(), 8, 1, &geo, &mob);
         let mut sums = vec![0.0f32; d.num_regions()];
-        for (i, &dst) in m.geo.dsts.iter().enumerate() {
+        for (i, &dst) in m.geo.dsts.ids().iter().enumerate() {
             sums[dst] += m.geo.alphas[i];
         }
         for (r, &s) in sums.iter().enumerate() {
@@ -319,7 +323,7 @@ mod tests {
         for r in 0..d.num_regions() {
             let mut near = None;
             let mut far = None;
-            for (i, &dst) in m.geo.dsts.iter().enumerate() {
+            for (i, &dst) in m.geo.dsts.ids().iter().enumerate() {
                 if dst != r {
                     continue;
                 }

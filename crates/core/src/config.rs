@@ -1,10 +1,9 @@
 //! Model configuration (hyper-parameters of §IV-A3) and ablation variants.
 
-use serde::{Deserialize, Serialize};
 use siterec_tensor::{GuardConfig, ParallelConfig};
 
 /// Which variant of the model to build (§IV-A5, Figs. 10–11).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Variant {
     /// The full O²-SiteRec model.
     #[default]
@@ -48,7 +47,7 @@ impl Variant {
 /// month; on the scaled-down synthetic datasets we default to a larger lr and
 /// fewer epochs — the values are all exposed here and swept by the Fig. 15/16
 /// benches.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SiteRecConfig {
     /// Courier-capacity embedding size (`d1`).
     pub d1: usize,
@@ -77,25 +76,15 @@ pub struct SiteRecConfig {
     pub grad_clip: f32,
     /// Kernel-level parallelism. Installed process-wide when the model is
     /// built; results are bitwise identical at any thread count.
-    #[serde(default)]
     pub parallel: ParallelConfig,
     /// Training guardrails: non-finite/divergence detection, checkpoint
     /// rollback, learning-rate decay and the recovery budget.
-    #[serde(default)]
     pub guard: GuardConfig,
     /// Lease tape buffers from an epoch-persistent
     /// [`TapeArena`](siterec_tensor::TapeArena) so steady-state epochs
     /// allocate nothing. Results are bit-identical either way; disable only
     /// for A/B memory debugging.
-    #[serde(default = "default_true")]
     pub arena: bool,
-}
-
-// Referenced only through the `#[serde(default = ...)]` attribute, which the
-// offline serde shim expands to nothing — hence the allow.
-#[allow(dead_code)]
-fn default_true() -> bool {
-    true
 }
 
 impl Default for SiteRecConfig {

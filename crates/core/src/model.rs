@@ -12,9 +12,10 @@ use siterec_sim::O2oDataset;
 use siterec_tensor::checkpoint::{self, ByteReader, ByteWriter, CheckpointPolicy, TrainState};
 use siterec_tensor::optim::{Adam, Optimizer};
 use siterec_tensor::{
-    record_recovery, record_train_error, retry_seed, ArenaStats, Bindings, Graph, ParamStore,
-    RecoveryEvent, TapeArena, Tensor, TrainError, TrainGuard, Var,
+    record_recovery, record_train_error, retry_seed, ArenaStats, Bindings, Graph, Index,
+    ParamStore, RecoveryEvent, TapeArena, Tensor, TrainError, TrainGuard, Var,
 };
+use std::sync::Arc;
 
 /// Model name used in journal records (spans, `train_epoch`, `recovery`),
 /// in checkpoint metadata and in serving embedding-store images.
@@ -126,8 +127,8 @@ pub struct O2SiteRec {
     model: HeteroModel,
     /// Variant-adjusted heterogeneous graph the model was built over.
     hetero: HeteroGraph,
-    train_s: Vec<usize>,
-    train_a: Vec<usize>,
+    train_s: Arc<Index>,
+    train_a: Arc<Index>,
     train_targets: Tensor,
     history: Vec<TrainEpoch>,
     recoveries: Vec<RecoveryEvent>,
@@ -177,6 +178,7 @@ impl O2SiteRec {
             targets.push(i.norm);
         }
         let train_targets = Tensor::column(&targets);
+        let (train_s, train_a) = model.pair_indices(train_s, train_a);
 
         O2SiteRec {
             cfg,
@@ -511,6 +513,7 @@ impl O2SiteRec {
             return out;
         }
         let (ss, aa): (Vec<usize>, Vec<usize>) = node_pairs.into_iter().unzip();
+        let (ss, aa) = self.model.pair_indices(ss, aa);
         let mut g = Graph::new();
         g.training = false;
         let binds = self.ps.bind(&mut g);

@@ -19,34 +19,34 @@ use crate::config::{SiteRecConfig, Variant};
 use siterec_geo::Period;
 use siterec_graphs::HeteroGraph;
 use siterec_tensor::nn::{Embedding, Linear};
-use siterec_tensor::{Bindings, Graph, ParamStore, Tensor, Var};
+use siterec_tensor::{Bindings, Graph, Index, ParamStore, Tensor, Var};
+use std::sync::Arc;
 
 /// Edge lists and constant attributes of one period's subgraph, reshaped for
 /// tape ops.
 struct PeriodStructure {
     /// S-U edges: source customer-region node, destination store-region node.
-    su_srcs: Vec<usize>,
-    su_dsts: Vec<usize>,
+    su_srcs: Arc<Index>,
+    su_dsts: Arc<Index>,
     /// `E x 2` base attributes (distance, transactions).
     su_attr: Tensor,
     /// Region ids of the S and U endpoints (for capacity-embedding gathers).
-    su_s_regions: Vec<usize>,
-    su_u_regions: Vec<usize>,
+    su_s_regions: Arc<Index>,
+    su_u_regions: Arc<Index>,
     /// U-A edges: source type node, destination customer-region node.
-    ua_srcs: Vec<usize>,
-    ua_dsts: Vec<usize>,
+    ua_srcs: Arc<Index>,
+    ua_dsts: Arc<Index>,
     /// `E x 1` transaction attribute.
     ua_attr: Tensor,
 }
 
-/// Static S-A structure (shared across periods).
+/// Static S-A structure (shared across periods). Store-region targets
+/// aggregate over `a -> s`, type targets over `s -> a`.
 struct SaStructure {
-    /// For store-region targets: source type nodes.
-    to_s_srcs: Vec<usize>,
-    to_s_dsts: Vec<usize>,
-    /// For type targets: source store-region nodes.
-    to_a_srcs: Vec<usize>,
-    to_a_dsts: Vec<usize>,
+    /// Store-region node of each S-A edge.
+    s: Arc<Index>,
+    /// Type node of each S-A edge.
+    a: Arc<Index>,
     /// `E x 3` attributes (competitiveness, complementarity, history).
     attr: Tensor,
 }
@@ -93,8 +93,8 @@ pub fn gather_period_pairs(
     g: &mut Graph,
     hs: &[Var],
     qs: &[Var],
-    pair_s: &[usize],
-    pair_a: &[usize],
+    pair_s: &Arc<Index>,
+    pair_a: &Arc<Index>,
 ) -> Vec<Var> {
     assert_eq!(hs.len(), qs.len());
     hs.iter()
@@ -215,11 +215,17 @@ impl HeteroModel {
         cfg.validate().expect("invalid SiteRecConfig");
         let d2 = cfg.d2;
         let feat_dim = hetero.feat_dim();
-        let (n_s, n_u, n_a) = (hetero.num_s(), hetero.num_u(), hetero.n_types);
+        // Node-set row counts: an empty set still gets one (padding) row.
+        let (n_s, n_u, n_a) = (
+            hetero.num_s().max(1),
+            hetero.num_u().max(1),
+            hetero.n_types.max(1),
+        );
+        let n_regions = hetero.s_of_region.len();
 
-        let emb_s = Embedding::new(ps, "rec.emb_s", n_s.max(1), d2);
-        let emb_u = Embedding::new(ps, "rec.emb_u", n_u.max(1), d2);
-        let emb_a = Embedding::new(ps, "rec.emb_a", n_a.max(1), d2);
+        let emb_s = Embedding::new(ps, "rec.emb_s", n_s, d2);
+        let emb_u = Embedding::new(ps, "rec.emb_u", n_u, d2);
+        let emb_a = Embedding::new(ps, "rec.emb_a", n_a, d2);
         let w_s0 = Linear::new(ps, "rec.w_s0", d2 + feat_dim, d2);
         let w_u0 = Linear::new(ps, "rec.w_u0", d2 + feat_dim, d2);
 
@@ -267,8 +273,8 @@ impl HeteroModel {
                 let su = &hetero.su_edges[pi];
                 let ua = &hetero.ua_edges[pi];
                 PeriodStructure {
-                    su_srcs: su.iter().map(|e| e.u).collect(),
-                    su_dsts: su.iter().map(|e| e.s).collect(),
+                    su_srcs: Index::new(su.iter().map(|e| e.u).collect(), n_u),
+                    su_dsts: Index::new(su.iter().map(|e| e.s).collect(), n_s),
                     su_attr: if su.is_empty() {
                         Tensor::zeros(0, 2)
                     } else {
@@ -278,10 +284,16 @@ impl HeteroModel {
                                 .collect::<Vec<_>>(),
                         )
                     },
-                    su_s_regions: su.iter().map(|e| hetero.store_regions[e.s]).collect(),
-                    su_u_regions: su.iter().map(|e| hetero.customer_regions[e.u]).collect(),
-                    ua_srcs: ua.iter().map(|e| e.a).collect(),
-                    ua_dsts: ua.iter().map(|e| e.u).collect(),
+                    su_s_regions: Index::new(
+                        su.iter().map(|e| hetero.store_regions[e.s]).collect(),
+                        n_regions,
+                    ),
+                    su_u_regions: Index::new(
+                        su.iter().map(|e| hetero.customer_regions[e.u]).collect(),
+                        n_regions,
+                    ),
+                    ua_srcs: Index::new(ua.iter().map(|e| e.a).collect(), n_a),
+                    ua_dsts: Index::new(ua.iter().map(|e| e.u).collect(), n_u),
                     ua_attr: if ua.is_empty() {
                         Tensor::zeros(0, 1)
                     } else {
@@ -294,10 +306,8 @@ impl HeteroModel {
             .collect();
 
         let sa = SaStructure {
-            to_s_srcs: hetero.sa_edges.iter().map(|e| e.a).collect(),
-            to_s_dsts: hetero.sa_edges.iter().map(|e| e.s).collect(),
-            to_a_srcs: hetero.sa_edges.iter().map(|e| e.s).collect(),
-            to_a_dsts: hetero.sa_edges.iter().map(|e| e.a).collect(),
+            s: Index::new(hetero.sa_edges.iter().map(|e| e.s).collect(), n_s),
+            a: Index::new(hetero.sa_edges.iter().map(|e| e.a).collect(), n_a),
             attr: if hetero.sa_edges.is_empty() {
                 Tensor::zeros(0, 3)
             } else {
@@ -339,6 +349,16 @@ impl HeteroModel {
         }
     }
 
+    /// `(store-region node, type node)` pair lists as indices into this
+    /// model's node embeddings, for [`Self::forward`] and
+    /// [`gather_period_pairs`].
+    pub(crate) fn pair_indices(&self, ss: Vec<usize>, aa: Vec<usize>) -> (Arc<Index>, Arc<Index>) {
+        (
+            Index::new(ss, self.emb_s.num),
+            Index::new(aa, self.emb_a.num),
+        )
+    }
+
     /// The tail weights as bound tape vars (training / offline inference).
     pub(crate) fn tail_vars(&self, binds: &Bindings) -> TailVars {
         TailVars {
@@ -371,8 +391,8 @@ impl HeteroModel {
         g: &mut Graph,
         binds: &Bindings,
         capacity: Option<&[Var]>,
-        pair_s: &[usize],
-        pair_a: &[usize],
+        pair_s: &Arc<Index>,
+        pair_a: &Arc<Index>,
     ) -> Var {
         assert_eq!(pair_s.len(), pair_a.len());
         // Steps 1-3: encode every period's node embeddings.
@@ -416,10 +436,6 @@ impl HeteroModel {
         z0 = g.dropout(z0, self.cfg.dropout);
         q0 = g.dropout(q0, self.cfg.dropout);
 
-        let n_s = g.value(h0).rows();
-        let n_u = g.value(z0).rows();
-        let n_a = g.value(q0).rows();
-
         // Steps 2-3 per period: edge fusion + node-level aggregation.
         let mut hs: Vec<Var> = Vec::with_capacity(Period::COUNT);
         let mut qs: Vec<Var> = Vec::with_capacity(Period::COUNT);
@@ -444,7 +460,7 @@ impl HeteroModel {
             } else {
                 Some(g.constant(ps_struct.ua_attr.clone()))
             };
-            let sa_attr = if self.sa.to_s_srcs.is_empty() {
+            let sa_attr = if self.sa.s.is_empty() {
                 None
             } else {
                 Some(g.constant(self.sa.attr.clone()))
@@ -460,7 +476,7 @@ impl HeteroModel {
                 let agg_su = if mean_agg {
                     layer
                         .su
-                        .forward_mean(g, z, &ps_struct.su_srcs, &ps_struct.su_dsts, n_s)
+                        .forward_mean(g, z, &ps_struct.su_srcs, &ps_struct.su_dsts)
                 } else {
                     layer.su.forward(
                         g,
@@ -470,30 +486,20 @@ impl HeteroModel {
                         &ps_struct.su_srcs,
                         &ps_struct.su_dsts,
                         su_attr,
-                        n_s,
                     )
                 };
                 let agg_sa_s = if mean_agg {
+                    layer.sa_to_s.forward_mean(g, q, &self.sa.a, &self.sa.s)
+                } else {
                     layer
                         .sa_to_s
-                        .forward_mean(g, q, &self.sa.to_s_srcs, &self.sa.to_s_dsts, n_s)
-                } else {
-                    layer.sa_to_s.forward(
-                        g,
-                        binds,
-                        q,
-                        h,
-                        &self.sa.to_s_srcs,
-                        &self.sa.to_s_dsts,
-                        sa_attr,
-                        n_s,
-                    )
+                        .forward(g, binds, q, h, &self.sa.a, &self.sa.s, sa_attr)
                 };
                 let agg_ua = (!last).then(|| {
                     if mean_agg {
                         layer
                             .ua
-                            .forward_mean(g, q, &ps_struct.ua_srcs, &ps_struct.ua_dsts, n_u)
+                            .forward_mean(g, q, &ps_struct.ua_srcs, &ps_struct.ua_dsts)
                     } else {
                         layer.ua.forward(
                             g,
@@ -503,25 +509,15 @@ impl HeteroModel {
                             &ps_struct.ua_srcs,
                             &ps_struct.ua_dsts,
                             ua_attr,
-                            n_u,
                         )
                     }
                 });
                 let agg_as = if mean_agg {
+                    layer.sa_to_a.forward_mean(g, h, &self.sa.s, &self.sa.a)
+                } else {
                     layer
                         .sa_to_a
-                        .forward_mean(g, h, &self.sa.to_a_srcs, &self.sa.to_a_dsts, n_a)
-                } else {
-                    layer.sa_to_a.forward(
-                        g,
-                        binds,
-                        h,
-                        q,
-                        &self.sa.to_a_srcs,
-                        &self.sa.to_a_dsts,
-                        sa_attr,
-                        n_a,
-                    )
+                        .forward(g, binds, h, q, &self.sa.s, &self.sa.a, sa_attr)
                 };
 
                 // Eq. 7: h^l = σ(W_S (Aggre_SU + Aggre_SA + h^{l-1}))
@@ -597,6 +593,7 @@ mod tests {
             .map(|i| (hg.s_of_region[i.region].unwrap(), i.ty))
             .collect();
         let (ss, aa): (Vec<usize>, Vec<usize>) = pairs.into_iter().unzip();
+        let (ss, aa) = model.pair_indices(ss, aa);
         let pred = model.forward(&mut g, &binds, None, &ss, &aa);
         let v = g.value(pred);
         assert_eq!(v.shape(), (16, 1));
@@ -632,6 +629,7 @@ mod tests {
             let mut g = Graph::new();
             g.training = false;
             let binds = ps.bind(&mut g);
+            let (ss, aa) = model.pair_indices(ss.clone(), aa.clone());
             let pred = model.forward(&mut g, &binds, None, &ss, &aa);
             g.value(pred).data().to_vec()
         })
@@ -657,7 +655,8 @@ mod tests {
             .collect();
         let i = &task.split.train[0];
         let s = task.hetero.s_of_region[i.region].unwrap();
-        let pred = model.forward(&mut g, &binds, Some(&caps), &[s], &[i.ty]);
+        let (ss, aa) = model.pair_indices(vec![s], vec![i.ty]);
+        let pred = model.forward(&mut g, &binds, Some(&caps), &ss, &aa);
         assert_eq!(g.value(pred).shape(), (1, 1));
         assert!(g.value(pred).data()[0].is_finite());
     }

@@ -2,12 +2,11 @@
 //! into the paper's table rows (per-type ranking + averaged metrics).
 
 use crate::metrics::{ndcg_at_k, precision_at_k, rmse, Candidate, TOP_N};
-use serde::{Deserialize, Serialize};
 use siterec_graphs::Split;
 use std::collections::BTreeMap;
 
 /// Averaged evaluation result across store types (one table row).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct EvalResult {
     /// NDCG@3 / @5 / @10.
     pub ndcg3: f64,
@@ -28,7 +27,7 @@ pub struct EvalResult {
 }
 
 /// Per-type ranking metrics (Figs. 12–13).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TypeResult {
     /// Store-type index.
     pub ty: usize,

@@ -5,14 +5,13 @@
 //! row-major order.
 
 use crate::latlon::LatLon;
-use serde::{Deserialize, Serialize};
 
 /// Index of a region in a [`CityGrid`] (row-major).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RegionId(pub usize);
 
 /// A rectangular grid partition of the city.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CityGrid {
     /// South-west corner of cell (0, 0).
     pub origin: LatLon,

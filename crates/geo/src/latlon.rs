@@ -1,12 +1,10 @@
 //! Geographic coordinates and great-circle distance.
 
-use serde::{Deserialize, Serialize};
-
 /// Mean Earth radius in meters (IUGG).
 pub const EARTH_RADIUS_M: f64 = 6_371_008.8;
 
 /// A WGS-84 latitude/longitude pair in degrees.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatLon {
     /// Latitude in degrees, positive north.
     pub lat: f64,

@@ -4,10 +4,8 @@
 //! evening rush, night — §II-B2) and plots city-level dynamics in 2-hour
 //! slots (Fig. 1–2).
 
-use serde::{Deserialize, Serialize};
-
 /// The paper's five daily periods.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Period {
     /// 06:00–10:00.
     Morning,
@@ -94,7 +92,7 @@ impl Period {
 
 /// A 2-hour slot of the day, `0..12` (slot 0 = 00:00–02:00), used for the
 /// Fig. 1/2 city-level dynamics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Slot2h(pub u32);
 
 impl Slot2h {
@@ -118,7 +116,7 @@ impl Slot2h {
 }
 
 /// A timestamp in simulated time: minutes since the start of the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SimMinute(pub u64);
 
 impl SimMinute {

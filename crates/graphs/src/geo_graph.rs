@@ -1,12 +1,11 @@
 //! Region geographical graph (paper Definition 2).
 
-use serde::{Deserialize, Serialize};
 use siterec_geo::CityGrid;
 
 /// Geographic proximity graph: regions are nodes, edges connect regions whose
 /// centers are closer than a threshold (800 m in the paper); the edge
 /// attribute is the distance.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GeoGraph {
     /// Number of region nodes.
     pub n_regions: usize,

@@ -11,13 +11,12 @@
 
 use crate::features::{competitiveness, region_features, Complementarity};
 use crate::split::Split;
-use serde::{Deserialize, Serialize};
 use siterec_geo::{Period, RegionId};
 use siterec_sim::O2oDataset;
 use std::collections::HashMap;
 
 /// Construction parameters of the heterogeneous graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HeteroParams {
     /// Minimum order ratio for an out-of-average-distance S-U edge
     /// (the paper "filters out regions with low order ratios").
@@ -38,7 +37,7 @@ impl Default for HeteroParams {
 /// S-U edge: customer-region `u` lies in the delivery scope of store-region
 /// `s` during a period. Attributes: distance and historical transactions
 /// (both normalized).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SuEdge {
     /// Store-region node index.
     pub s: usize,
@@ -52,7 +51,7 @@ pub struct SuEdge {
 
 /// S-A edge: stores of type `a` exist in store-region `s`. Attributes:
 /// competitiveness, complementarity, historical order count (train-only).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SaEdge {
     /// Store-region node index.
     pub s: usize,
@@ -68,7 +67,7 @@ pub struct SaEdge {
 
 /// U-A edge: customers of region `u` prefer type `a` in a period.
 /// Attribute: transaction count (normalized).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct UaEdge {
     /// Customer-region node index.
     pub u: usize,
@@ -79,7 +78,7 @@ pub struct UaEdge {
 }
 
 /// The region-type heterogeneous multi-graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HeteroGraph {
     /// Region id of each store-region node.
     pub store_regions: Vec<usize>,

@@ -1,13 +1,12 @@
 //! Courier mobility multi-graph (paper Definition 3).
 
 use crate::features::pairwise_delivery_times;
-use serde::{Deserialize, Serialize};
 use siterec_geo::Period;
 use siterec_sim::O2oDataset;
 
 /// One mobility edge: couriers moved `from -> to` in a period, with the mean
 /// observed delivery time as the attribute.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MobilityEdge {
     /// Source region (store side).
     pub from: usize,
@@ -20,7 +19,7 @@ pub struct MobilityEdge {
 }
 
 /// The courier mobility multi-graph: one edge set per period.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MobilityGraph {
     /// Number of region nodes.
     pub n_regions: usize,

@@ -4,11 +4,10 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use siterec_sim::O2oDataset;
 
 /// One observed interaction: the number of orders of `ty` in `region`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Interaction {
     /// Store-region id (raw region index).
     pub region: usize,
@@ -21,7 +20,7 @@ pub struct Interaction {
 }
 
 /// An 80/20 (configurable) split of the interactions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Split {
     /// Training interactions (labels visible to models).
     pub train: Vec<Interaction>,

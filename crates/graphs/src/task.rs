@@ -5,7 +5,6 @@ use crate::geo_graph::GeoGraph;
 use crate::hetero::{HeteroGraph, HeteroParams};
 use crate::mobility::MobilityGraph;
 use crate::split::Split;
-use serde::{Deserialize, Serialize};
 use siterec_sim::O2oDataset;
 use std::fmt;
 
@@ -19,7 +18,7 @@ pub const ADAPTION_PREF_RADIUS_M: f64 = 2_000.0;
 /// One fully-prepared instance of the store-site-recommendation problem:
 /// the three input graphs of Eq. 1 (`G_h`, `G_c`, `G_ge`), the train/test
 /// split, and the feature tables shared by the baselines.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SiteRecTask {
     /// Number of regions in the city.
     pub n_regions: usize,

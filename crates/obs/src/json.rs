@@ -1,6 +1,5 @@
-//! A minimal JSON writer/parser pair, self-contained so the journal works
-//! even when the workspace builds against the offline `serde_json` stub
-//! (whose serializer is a placeholder — see `vendor/stubs/README.md`).
+//! A minimal JSON writer/parser pair, self-contained: the workspace has no
+//! JSON dependency.
 //!
 //! The writer covers exactly what journal records need (objects of strings,
 //! integers, floats, booleans and flat arrays); the parser covers the full

@@ -31,7 +31,7 @@
 use siterec_core::{gather_period_pairs, score_tail, ServingExport, TailSpec, TailVars};
 use siterec_geo::Period;
 use siterec_tensor::checkpoint::{crc32, ByteReader, ByteWriter};
-use siterec_tensor::{Graph, Tensor};
+use siterec_tensor::{Graph, Index, Tensor};
 use std::fmt;
 use std::io;
 use std::path::Path;
@@ -183,8 +183,14 @@ impl EmbeddingStore {
             } else {
                 vec![sel]
             };
-            let ss: Vec<usize> = group.iter().map(|&(_, s, _)| s).collect();
-            let aa: Vec<usize> = group.iter().map(|&(_, _, a)| a).collect();
+            let ss = Index::new(
+                group.iter().map(|&(_, s, _)| s).collect(),
+                self.export.h[0].rows(),
+            );
+            let aa = Index::new(
+                group.iter().map(|&(_, _, a)| a).collect(),
+                self.export.q[0].rows(),
+            );
             let mut g = Graph::new();
             g.training = false;
             let hs: Vec<_> = periods

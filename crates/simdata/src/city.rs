@@ -11,7 +11,6 @@ use crate::config::SimConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, Poisson};
-use serde::{Deserialize, Serialize};
 use siterec_geo::{CityGrid, LatLon, Period, RegionId};
 
 /// Number of POI categories in the synthetic city.
@@ -34,7 +33,7 @@ pub const POI_TYPE_NAMES: [&str; NUM_POI_TYPES] = [
 ];
 
 /// Coarse geographic class of a region, used by the Fig. 14 experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RegionClass {
     /// Inner third by centrality.
     Downtown,
@@ -45,7 +44,7 @@ pub enum RegionClass {
 }
 
 /// Static profile of one grid region.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RegionProfile {
     /// Distance from the city center, normalized to `[0, 1]`.
     pub centrality: f64,
@@ -84,7 +83,7 @@ impl RegionProfile {
 }
 
 /// The synthetic city: a grid plus one [`RegionProfile`] per region.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct City {
     /// The grid partition (Definition 1).
     pub grid: CityGrid,

@@ -1,14 +1,12 @@
 //! Simulation configuration and the dataset presets used by the experiments.
 
-use serde::{Deserialize, Serialize};
-
 /// All knobs of the synthetic O2O platform.
 ///
 /// The defaults are scaled so a full month simulates in well under a second
 /// and the complete table/figure harness runs on a laptop CPU. Every field is
 /// public; the paper-scale city (Shanghai-sized, 39k stores, 23.6M orders)
 /// is reachable by raising `nx`/`ny`, `n_stores`, and `demand_scale`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Master RNG seed; the whole dataset is a pure function of the config.
     pub seed: u64,
@@ -207,18 +205,5 @@ mod tests {
         let mut c = SimConfig::tiny(1);
         c.nx = 0;
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let c = SimConfig::real_world_like(7);
-        let s = serde_json::to_string(&c).unwrap();
-        if s.contains("__offline_stub__") {
-            eprintln!("skipped: offline serde shim active (no real JSON support)");
-            return;
-        }
-        let back: SimConfig = serde_json::from_str(&s).unwrap();
-        assert_eq!(back.seed, 7);
-        assert_eq!(back.nx, c.nx);
     }
 }

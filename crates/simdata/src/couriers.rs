@@ -8,7 +8,6 @@
 
 use crate::city::City;
 use crate::config::SimConfig;
-use serde::{Deserialize, Serialize};
 use siterec_geo::{Period, RegionId};
 
 /// Relative courier head-count on shift at local hour `h` (peak = 1.0).
@@ -75,7 +74,7 @@ pub fn period_supply_factor(p: Period) -> f64 {
 
 /// The courier supply state: per-region, per-period head-counts and
 /// supply-demand ratios.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CourierSupply {
     /// Active couriers in each region per period (fractional head-count).
     pub couriers: Vec<[f64; Period::COUNT]>,

@@ -9,12 +9,11 @@ use crate::orders::Order;
 use crate::stores::{build_store_types, place_stores, Store, StoreType, StoreTypeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use siterec_geo::{Period, RegionId};
 
 /// A complete simulated month of an O2O platform: the stand-in for the
 /// paper's proprietary Eleme data (orders, courier state, context data).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct O2oDataset {
     /// The generating configuration.
     pub config: SimConfig,

@@ -14,7 +14,6 @@ use crate::config::SimConfig;
 use crate::couriers::CourierSupply;
 use rand::rngs::StdRng;
 use rand_distr::{Distribution, LogNormal};
-use serde::{Deserialize, Serialize};
 use siterec_geo::{Period, RegionId};
 
 /// Reference pickup wait (minutes) at the city's median supply-demand ratio.
@@ -29,7 +28,7 @@ const SCOPE_FACTOR_RANGE: (f64, f64) = (0.55, 1.2);
 const SCOPE_RANGE_M: (f64, f64) = (1_200.0, 5_000.0);
 
 /// The delivery-time and scope model, parameterized by the fleet state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DeliveryModel {
     /// City-wide median supply-demand ratio (congestion reference).
     pub median_ratio: f64,

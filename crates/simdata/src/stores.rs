@@ -5,20 +5,19 @@ use crate::config::SimConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, LogNormal};
-use serde::{Deserialize, Serialize};
 use siterec_geo::{Period, RegionId};
 
 /// Index of a store type (paper: 122 types; we use a configurable prefix of
 /// the catalog below).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StoreTypeId(pub usize);
 
 /// Index of a store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StoreId(pub usize);
 
 /// Static description of a store type.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StoreType {
     /// Human-readable name.
     pub name: String,
@@ -82,7 +81,7 @@ pub fn build_store_types(config: &SimConfig) -> Vec<StoreType> {
 }
 
 /// One store on the platform.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Store {
     /// Stable id.
     pub id: StoreId,

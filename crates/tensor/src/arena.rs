@@ -2,8 +2,8 @@
 //!
 //! Every training epoch rebuilds the tape from scratch, which used to mean
 //! re-allocating every forward value and gradient buffer hundreds of times
-//! per run. A [`TapeArena`] is a size-bucketed free list of `Vec<f32>` /
-//! `Vec<usize>` buffers owned by the training loop: graphs created with
+//! per run. A [`TapeArena`] is a size-bucketed free list of `Vec<f32>`
+//! buffers owned by the training loop: graphs created with
 //! [`Graph::with_seed_and_arena`](crate::Graph::with_seed_and_arena) lease
 //! their buffers from it and recycle them on drop, so epochs after the
 //! first hit the allocator zero times for tape storage.
@@ -55,16 +55,16 @@ pub struct ArenaStats {
 }
 
 #[derive(Default)]
-struct Pool<T> {
-    buckets: Vec<Vec<Vec<T>>>,
+struct Pool {
+    buckets: Vec<Vec<Vec<f32>>>,
 }
 
-impl<T: Copy + Default> Pool<T> {
+impl Pool {
     fn class_for_len(len: usize) -> usize {
         len.next_power_of_two().trailing_zeros() as usize
     }
 
-    fn lease(&mut self, len: usize, stats: &mut ArenaStats) -> Vec<T> {
+    fn lease(&mut self, len: usize, stats: &mut ArenaStats) -> Vec<f32> {
         stats.leases += 1;
         let class = Self::class_for_len(len);
         if class < CLASSES {
@@ -74,7 +74,7 @@ impl<T: Copy + Default> Pool<T> {
             if let Some(mut v) = self.buckets[class].pop() {
                 debug_assert!(v.capacity() >= len);
                 v.clear();
-                v.resize(len, T::default());
+                v.resize(len, 0.0);
                 return v;
             }
         }
@@ -84,11 +84,11 @@ impl<T: Copy + Default> Pool<T> {
         } else {
             len
         });
-        v.resize(len, T::default());
+        v.resize(len, 0.0);
         v
     }
 
-    fn recycle(&mut self, v: Vec<T>, stats: &mut ArenaStats) {
+    fn recycle(&mut self, v: Vec<f32>, stats: &mut ArenaStats) {
         if v.capacity() == 0 {
             return;
         }
@@ -112,8 +112,7 @@ impl<T: Copy + Default> Pool<T> {
 }
 
 struct Inner {
-    f32s: Pool<f32>,
-    usizes: Pool<usize>,
+    f32s: Pool,
     stats: ArenaStats,
 }
 
@@ -146,7 +145,6 @@ impl TapeArena {
         TapeArena {
             inner: Arc::new(Mutex::new(Inner {
                 f32s: Pool::default(),
-                usizes: Pool::default(),
                 stats: ArenaStats::default(),
             })),
         }
@@ -159,7 +157,7 @@ impl TapeArena {
     /// Lease a zero-filled `f32` buffer of exactly `len` elements.
     pub fn lease_f32(&self, len: usize) -> Vec<f32> {
         let mut inner = self.lock();
-        let Inner { f32s, stats, .. } = &mut *inner;
+        let Inner { f32s, stats } = &mut *inner;
         f32s.lease(len, stats)
     }
 
@@ -173,22 +171,8 @@ impl TapeArena {
     /// Return an `f32` buffer to the pool.
     pub fn recycle_f32(&self, v: Vec<f32>) {
         let mut inner = self.lock();
-        let Inner { f32s, stats, .. } = &mut *inner;
+        let Inner { f32s, stats } = &mut *inner;
         f32s.recycle(v, stats);
-    }
-
-    /// Lease a zero-filled `usize` buffer of exactly `len` elements.
-    pub fn lease_usize(&self, len: usize) -> Vec<usize> {
-        let mut inner = self.lock();
-        let Inner { usizes, stats, .. } = &mut *inner;
-        usizes.lease(len, stats)
-    }
-
-    /// Return a `usize` buffer to the pool.
-    pub fn recycle_usize(&self, v: Vec<usize>) {
-        let mut inner = self.lock();
-        let Inner { usizes, stats, .. } = &mut *inner;
-        usizes.recycle(v, stats);
     }
 
     /// A `rows x cols` zero tensor backed by a pooled buffer.
@@ -234,16 +218,6 @@ mod tests {
         let v2 = a.lease_f32(600); // class 10 too
         assert_eq!(a.stats().misses, 1, "should reuse the 1024-cap buffer");
         assert_eq!(v2.len(), 600);
-    }
-
-    #[test]
-    fn usize_pool_round_trips() {
-        let a = TapeArena::new();
-        let mut v = a.lease_usize(10);
-        v[0] = 42;
-        a.recycle_usize(v);
-        let v2 = a.lease_usize(8);
-        assert!(v2.iter().all(|&x| x == 0));
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! message passing without materializing adjacency matrices.
 
 use crate::arena::TapeArena;
+use crate::index::Index;
 use crate::kernels;
-use crate::memo;
 use crate::parallel;
 use crate::profile::TapeProfile;
 use crate::tensor::Tensor;
@@ -47,14 +47,12 @@ enum Op {
     Tanh(Var),
     /// Horizontal concatenation; stores column offsets of each part.
     ConcatCols(Vec<Var>),
-    /// `out[i, :] = input[idx[i], :]`. The index list is interned
-    /// ([`memo::intern_indices`]) so repeated per-epoch replays share one
-    /// allocation — and its stable address keys the CSR memo in backward.
-    GatherRows(Var, Arc<Vec<usize>>),
-    /// `out[s, :] = Σ_{i : seg[i]==s} input[i, :]`, `out` has `n_seg` rows.
-    SegmentSum(Var, Arc<Vec<usize>>, usize),
+    /// `out[i, :] = input[idx[i], :]`.
+    GatherRows(Var, Arc<Index>),
+    /// `out[s, :] = Σ_{i : seg[i]==s} input[i, :]`, `out` has `seg.n()` rows.
+    SegmentSum(Var, Arc<Index>),
     /// Per-segment softmax over an `E x 1` score column.
-    SegmentSoftmax(Var, Arc<Vec<usize>>),
+    SegmentSoftmax(Var, Arc<Index>),
     /// `out[i, :] = a[i, :] * w[i, 0]` for `a: E x d`, `w: E x 1`.
     MulColBroadcast(Var, Var),
     /// `out[i, :] = a[i, :] + b[0, :]` for `a: n x d`, `b: 1 x d` (bias).
@@ -88,7 +86,7 @@ struct EdgeAttn {
     k: Var,
     q: Var,
     w_e: Var,
-    dsts: Arc<Vec<usize>>,
+    dsts: Arc<Index>,
     heads: usize,
     /// `K_h W_e^h` per head: `heads` blocks of `E x head_dim`.
     kw: Tensor,
@@ -481,33 +479,33 @@ impl Graph {
         self.push(v, Op::ConcatCols(parts.to_vec()), ng)
     }
 
-    /// Row selection: `out[i, :] = a[idx[i], :]`. The index list is interned
-    /// rather than copied per call (static edge lists are replayed every
-    /// epoch).
-    pub fn gather_rows(&mut self, a: Var, idx: &[usize]) -> Var {
-        let idx = memo::intern_indices(idx);
+    /// Row selection: `out[i, :] = a[idx[i], :]`, for an `a` with
+    /// `idx.n()` rows.
+    pub fn gather_rows(&mut self, a: Var, idx: &Arc<Index>) -> Var {
         let av = self.value(a);
+        assert_eq!(
+            av.rows(),
+            idx.n(),
+            "gather_rows: input has {} rows, the index addresses n = {}",
+            av.rows(),
+            idx.n()
+        );
         let mut v = lease_zeros(&self.arena, idx.len(), av.cols());
-        av.gather_rows_into(&idx, &mut v);
+        av.gather_rows_into(idx.ids(), &mut v);
         let ng = self.needs(a);
-        self.push(v, Op::GatherRows(a, idx), ng)
+        self.push(v, Op::GatherRows(a, Arc::clone(idx)), ng)
     }
 
-    /// Segment sum: rows of `a` grouped by `segments` (values `< n_segments`)
-    /// are summed; the result has `n_segments` rows. Empty segments are zero.
-    pub fn segment_sum(&mut self, a: Var, segments: &[usize], n_segments: usize) -> Var {
-        let segments = memo::intern_indices(segments);
+    /// Segment sum: rows of `a` grouped by `segments` are summed; the result
+    /// has `segments.n()` rows. Empty segments are zero.
+    pub fn segment_sum(&mut self, a: Var, segments: &Arc<Index>) -> Var {
         let av = self.value(a);
         assert_eq!(av.rows(), segments.len(), "segment_sum length mismatch");
-        for &s in segments.iter() {
-            assert!(s < n_segments, "segment id {s} >= {n_segments}");
-        }
-        // CSR inversion (memoized per run — edge lists are static): each
-        // output row sums its inputs in ascending input order — the exact
-        // per-element order of the serial scatter loop — so the row-parallel
-        // split is bitwise deterministic.
-        let cols = av.cols();
-        let csr = memo::csr_for(&segments, n_segments);
+        // CSR inversion: each output row sums its inputs in ascending input
+        // order — the exact per-element order of the serial scatter loop —
+        // so the row-parallel split is bitwise deterministic.
+        let (n_segments, cols) = (segments.n(), av.cols());
+        let csr = segments.csr();
         let per_row = (segments.len() * cols / n_segments.max(1)).max(1);
         let mut out = lease_zeros(&self.arena, n_segments, cols);
         parallel::for_each_row_block_mut(out.data_mut(), cols, per_row, |s0, block| {
@@ -521,43 +519,35 @@ impl Graph {
             }
         });
         let ng = self.needs(a);
-        self.push(out, Op::SegmentSum(a, segments, n_segments), ng)
+        self.push(out, Op::SegmentSum(a, Arc::clone(segments)), ng)
     }
 
     /// Per-segment mean (segment sum scaled by 1/|segment|; empty segments 0).
-    pub fn segment_mean(&mut self, a: Var, segments: &[usize], n_segments: usize) -> Var {
-        let mut counts = match &self.arena {
-            Some(ar) => ar.lease_usize(n_segments),
-            None => vec![0usize; n_segments],
-        };
-        for &s in segments {
-            counts[s] += 1;
-        }
+    pub fn segment_mean(&mut self, a: Var, segments: &Arc<Index>) -> Var {
+        let offsets = &segments.csr().offsets;
         let mut inv = match &self.arena {
-            Some(ar) => ar.lease_f32(n_segments),
-            None => vec![0.0f32; n_segments],
+            Some(ar) => ar.lease_f32(segments.n()),
+            None => vec![0.0f32; segments.n()],
         };
-        for (o, &c) in inv.iter_mut().zip(counts.iter()) {
+        for (o, w) in inv.iter_mut().zip(offsets.windows(2)) {
+            let c = w[1] - w[0];
             *o = if c == 0 { 0.0 } else { 1.0 / c as f32 };
         }
-        let summed = self.segment_sum(a, segments, n_segments);
+        let summed = self.segment_sum(a, segments);
         let out = self.scale_rows_const(summed, &inv);
         if let Some(ar) = &self.arena {
-            ar.recycle_usize(counts);
             ar.recycle_f32(inv);
         }
         out
     }
 
     /// Numerically-stable softmax within each segment of an `E x 1` column.
-    pub fn segment_softmax(&mut self, scores: &[usize], a: Var) -> Var {
-        let seg = memo::intern_indices(scores);
+    pub fn segment_softmax(&mut self, a: Var, segments: &Arc<Index>) -> Var {
         let av = self.value(a);
         assert_eq!(av.cols(), 1, "segment_softmax expects an E x 1 column");
-        assert_eq!(av.rows(), scores.len(), "segment_softmax length mismatch");
-        let n_seg = scores.iter().copied().max().map_or(0, |m| m + 1);
+        assert_eq!(av.rows(), segments.len(), "segment_softmax length mismatch");
+        let n_seg = segments.n();
         // The four passes are documented on `softmax_column`.
-        let csr = memo::csr_for(&seg, n_seg);
         let mut seg_max = match &self.arena {
             Some(ar) => ar.lease_f32(n_seg),
             None => vec![0.0f32; n_seg],
@@ -569,8 +559,7 @@ impl Graph {
         let mut out = lease_zeros(&self.arena, av.rows(), 1);
         softmax_column(
             av.data(),
-            &seg,
-            &csr,
+            segments,
             &mut seg_max,
             &mut seg_sum,
             out.data_mut(),
@@ -580,7 +569,7 @@ impl Graph {
             ar.recycle_f32(seg_sum);
         }
         let ng = self.needs(a);
-        self.push(out, Op::SegmentSoftmax(a, seg), ng)
+        self.push(out, Op::SegmentSoftmax(a, Arc::clone(segments)), ng)
     }
 
     /// Broadcast a column of weights over the columns of `a`:
@@ -703,7 +692,7 @@ impl Graph {
     ///   head `h` in columns `h·head_dim ..`;
     /// * `w_e`: the stacked bilinear `(heads·head_dim) x head_dim`, head
     ///   `h` in rows `h·head_dim ..`;
-    /// * `dsts`: each edge's destination (`< n_dst`).
+    /// * `dsts`: each edge's destination; the result has `dsts.n()` rows.
     ///
     /// Per head `h` and edge `i`: score `s = LeakyReLU_0.2(K_h[i] W_e^h ·
     /// Q_h[i])`, `α = softmax(s)` over each destination's in-edges, and
@@ -721,17 +710,15 @@ impl Graph {
     /// scanned for non-finite values like every composed op's output.
     ///
     /// # Panics
-    /// Panics on mismatched shapes or an out-of-range destination.
+    /// Panics on mismatched shapes.
     pub fn edge_attention(
         &mut self,
         k_all: Var,
         q_all: Var,
         w_e: Var,
-        dsts: &[usize],
+        dsts: &Arc<Index>,
         heads: usize,
-        n_dst: usize,
     ) -> Var {
-        let dsts = memo::intern_indices(dsts);
         let (kv, qv, wv) = (self.value(k_all), self.value(q_all), self.value(w_e));
         let (e, d) = kv.shape();
         assert!(
@@ -742,10 +729,7 @@ impl Graph {
         assert_eq!(qv.shape(), (e, d), "edge_attention: q shape");
         assert_eq!(wv.shape(), (d, hd), "edge_attention: w_e shape");
         assert_eq!(dsts.len(), e, "edge_attention: dsts length");
-        for &t in dsts.iter() {
-            assert!(t < n_dst, "edge_attention: destination {t} >= {n_dst}");
-        }
-        let csr = memo::csr_for(&dsts, n_dst);
+        let (n_dst, csr) = (dsts.n(), dsts.csr());
         let arena = &self.arena;
 
         // kw_h = K_h W_e^h, one contiguous E x head_dim block per head.
@@ -789,7 +773,7 @@ impl Graph {
             .chunks(e.max(1))
             .zip(alpha.data_mut().chunks_mut(e.max(1)))
         {
-            softmax_column(x, &dsts, &csr, seg_max.data_mut(), seg_sum.data_mut(), y);
+            softmax_column(x, dsts, seg_max.data_mut(), seg_sum.data_mut(), y);
         }
         recycle(arena, score);
         recycle(arena, seg_max);
@@ -830,7 +814,7 @@ impl Graph {
             k: k_all,
             q: q_all,
             w_e,
-            dsts,
+            dsts: Arc::clone(dsts),
             heads,
             kw,
             raw,
@@ -1104,13 +1088,11 @@ impl Graph {
                     }
                 }
                 Op::GatherRows(a, idx) => {
-                    // Scatter-add inverted to CSR (memoized — the interned
-                    // index list's address is stable across epochs): each
-                    // source row of `a` accumulates its gathered copies in
-                    // ascending gather order (the serial loop's order),
-                    // row-parallel.
+                    // Scatter-add inverted to CSR: each source row of `a`
+                    // accumulates its gathered copies in ascending gather
+                    // order (the serial loop's order), row-parallel.
                     let (rows, cols) = nodes[a.0].value.shape();
-                    let csr = memo::csr_for(idx, rows);
+                    let csr = idx.csr();
                     let per_row = (idx.len() * cols / rows.max(1)).max(1);
                     let mut ga = lease_zeros(arena, rows, cols);
                     parallel::for_each_row_block_mut(ga.data_mut(), cols, per_row, |r0, block| {
@@ -1125,32 +1107,23 @@ impl Graph {
                     });
                     accumulate_grad(nodes, grads, arena, *a, ga);
                 }
-                Op::SegmentSum(a, segs, n_seg) => {
-                    debug_assert_eq!(g.rows(), *n_seg);
+                Op::SegmentSum(a, segs) => {
+                    debug_assert_eq!(g.rows(), segs.n());
                     // The gradient is a pure row gather, which is already
                     // row-parallel.
                     let mut ga = lease_zeros(arena, segs.len(), g.cols());
-                    g.gather_rows_into(segs, &mut ga);
+                    g.gather_rows_into(segs.ids(), &mut ga);
                     accumulate_grad(nodes, grads, arena, *a, ga);
                 }
                 Op::SegmentSoftmax(a, segs) => {
                     // dL/ds_i = y_i * (g_i - Σ_{j in seg(i)} y_j g_j)
                     let y = &nodes[i].value;
-                    let n_seg = segs.iter().copied().max().map_or(0, |m| m + 1);
-                    let csr = memo::csr_for(segs, n_seg);
                     let mut seg_dot = match arena {
-                        Some(ar) => ar.lease_f32(n_seg),
-                        None => vec![0.0f32; n_seg],
+                        Some(ar) => ar.lease_f32(segs.n()),
+                        None => vec![0.0f32; segs.n()],
                     };
                     let mut ga = lease_zeros(arena, y.rows(), 1);
-                    softmax_column_backward(
-                        y.data(),
-                        g.data(),
-                        segs,
-                        &csr,
-                        &mut seg_dot,
-                        ga.data_mut(),
-                    );
+                    softmax_column_backward(y.data(), g.data(), segs, &mut seg_dot, ga.data_mut());
                     if let Some(ar) = arena {
                         ar.recycle_f32(seg_dot);
                     }
@@ -1338,9 +1311,9 @@ fn head_cols_into(t: &Tensor, h: usize, out: &mut Tensor) {
     }
 }
 
-/// Softmax of the score column `x` within each segment of `seg` (grouped
-/// by `csr`, which may list trailing empty segments), written to `out`.
-/// `seg_max` / `seg_sum` are scratch with one slot per CSR segment.
+/// Softmax of the score column `x` within each segment of `seg` (which may
+/// hold empty segments), written to `out`. `seg_max` / `seg_sum` are
+/// scratch with one slot per segment.
 ///
 /// Four passes, each bitwise deterministic for any thread count:
 ///
@@ -1359,13 +1332,12 @@ fn head_cols_into(t: &Tensor, h: usize, out: &mut Tensor) {
 /// scalar/SIMD hosts and thread counts (the contract that matters).
 fn softmax_column(
     x: &[f32],
-    seg: &[usize],
-    csr: &memo::Csr,
+    seg: &Index,
     seg_max: &mut [f32],
     seg_sum: &mut [f32],
     out: &mut [f32],
 ) {
-    let n_seg = csr.offsets.len() - 1;
+    let (n_seg, csr) = (seg.n(), seg.csr());
     let per_seg = (2 * x.len() / n_seg.max(1)).max(1) * 8;
     parallel::for_each_row_block_mut(seg_max, 1, per_seg, |s0, block| {
         for (bs, st) in block.iter_mut().enumerate() {
@@ -1379,7 +1351,7 @@ fn softmax_column(
     });
     let seg_max: &[f32] = seg_max;
     parallel::for_each_row_block_mut(out, 1, 32, |i0, block| {
-        kernels::softmax_exp_block(block, i0, x, seg, seg_max);
+        kernels::softmax_exp_block(block, i0, x, seg.ids(), seg_max);
     });
     let e: &[f32] = out;
     parallel::for_each_row_block_mut(seg_sum, 1, per_seg, |s0, block| {
@@ -1394,23 +1366,22 @@ fn softmax_column(
     });
     let seg_sum: &[f32] = seg_sum;
     parallel::for_each_row_block_mut(out, 1, 16, |i0, block| {
-        kernels::softmax_div_block(block, i0, seg, seg_sum);
+        kernels::softmax_div_block(block, i0, seg.ids(), seg_sum);
     });
 }
 
 /// Backward of [`softmax_column`] with output `y` and upstream `g`:
 /// `out_i = y_i * (g_i - Σ_{j in seg(i)} y_j g_j)`, the segment dot taken
 /// in ascending member order from `0.0`. `seg_dot` is scratch with one slot
-/// per CSR segment.
+/// per segment.
 fn softmax_column_backward(
     y: &[f32],
     g: &[f32],
-    seg: &[usize],
-    csr: &memo::Csr,
+    seg: &Index,
     seg_dot: &mut [f32],
     out: &mut [f32],
 ) {
-    let n_seg = csr.offsets.len() - 1;
+    let (n_seg, csr, seg) = (seg.n(), seg.csr(), seg.ids());
     let per_seg = (2 * y.len() / n_seg.max(1)).max(1);
     parallel::for_each_row_block_mut(seg_dot, 1, per_seg, |s0, block| {
         for (bs, d) in block.iter_mut().enumerate() {
@@ -1467,8 +1438,7 @@ fn edge_attention_backward(
     );
     let (e, d) = kv.shape();
     let hd = d / heads;
-    let n_dst = y.rows();
-    let csr = memo::csr_for(dsts, n_dst);
+    let (n_dst, dst_ids) = (dsts.n(), dsts.ids());
 
     // ReLU backward on the aggregate (agg > 0 exactly where y > 0).
     let mut g_agg = lease_zeros(arena, n_dst, d);
@@ -1480,7 +1450,7 @@ fn edge_attention_backward(
         for (bj, o) in block.iter_mut().enumerate() {
             let (h, i) = ((j0 + bj) / e, (j0 + bj) % e);
             let cols = h * hd..(h + 1) * hd;
-            *o = g_agg.row_slice(dsts[i])[cols.clone()]
+            *o = g_agg.row_slice(dst_ids[i])[cols.clone()]
                 .iter()
                 .zip(&kv.row_slice(i)[cols])
                 .map(|(&gi, &ai)| gi * ai)
@@ -1497,7 +1467,7 @@ fn edge_attention_backward(
         .zip(g_alpha.data().chunks(e.max(1)))
         .zip(g_raw.data_mut().chunks_mut(e.max(1)))
     {
-        softmax_column_backward(y_h, g_h, dsts, &csr, seg_dot.data_mut(), o_h);
+        softmax_column_backward(y_h, g_h, dsts, seg_dot.data_mut(), o_h);
     }
     recycle(arena, seg_dot);
     recycle(arena, g_alpha);
@@ -1572,7 +1542,7 @@ fn edge_attention_backward(
         parallel::for_each_row_block_mut(gk.data_mut(), d, 2 * d, |i0, block| {
             for (bi, row) in block.chunks_mut(d).enumerate() {
                 let i = i0 + bi;
-                let ga_row = g_agg.row_slice(dsts[i]);
+                let ga_row = g_agg.row_slice(dst_ids[i]);
                 for h in 0..heads {
                     let a = al[h * e + i];
                     let cols = h * hd..(h + 1) * hd;
@@ -1718,7 +1688,7 @@ mod tests {
     fn gather_scatter_roundtrip_grad() {
         let mut g = Graph::new();
         let table = g.param(t(3, 2, vec![1., 2., 3., 4., 5., 6.]));
-        let picked = g.gather_rows(table, &[0, 2, 0]);
+        let picked = g.gather_rows(table, &Index::new(vec![0, 2, 0], 3));
         let l = g.sum_all(picked);
         g.backward(l);
         // Row 0 picked twice, row 1 never, row 2 once.
@@ -1729,7 +1699,7 @@ mod tests {
     fn segment_sum_values_and_grads() {
         let mut g = Graph::new();
         let a = g.param(t(4, 1, vec![1., 2., 3., 4.]));
-        let s = g.segment_sum(a, &[0, 1, 0, 1], 2);
+        let s = g.segment_sum(a, &Index::new(vec![0, 1, 0, 1], 2));
         assert_eq!(g.value(s).data(), &[4.0, 6.0]);
         // weight segment 0 by 10, segment 1 by 1
         let w = g.constant(t(2, 1, vec![10.0, 1.0]));
@@ -1743,8 +1713,8 @@ mod tests {
     fn segment_softmax_normalizes_per_segment() {
         let mut g = Graph::new();
         let a = g.param(t(5, 1, vec![1.0, 2.0, 3.0, -1.0, 100.0]));
-        let segs = vec![0usize, 0, 0, 1, 1];
-        let sm = g.segment_softmax(&segs, a);
+        let segs = Index::new(vec![0, 0, 0, 1, 1], 2);
+        let sm = g.segment_softmax(a, &segs);
         let v = g.value(sm);
         let s0: f32 = v.data()[..3].iter().sum();
         let s1: f32 = v.data()[3..].iter().sum();
@@ -1854,7 +1824,7 @@ mod tests {
         let k = g.param(Tensor::full(3, 4, -1e20));
         let q = g.param(Tensor::full(3, 4, 1e20));
         let w = g.param(Tensor::full(4, 2, 1e20));
-        let out = g.edge_attention(k, q, w, &[0, 1, 1], 2, 2);
+        let out = g.edge_attention(k, q, w, &Index::new(vec![0, 1, 1], 2), 2);
         assert!(!g.value(out).has_non_finite());
         if cfg!(debug_assertions) {
             let fault = g.fault().expect("overflowing scores are a fault");
@@ -1866,7 +1836,7 @@ mod tests {
     fn mean_aggregation_via_segment_mean() {
         let mut g = Graph::new();
         let a = g.param(t(4, 2, vec![2., 0., 4., 0., 8., 8., 0., 0.]));
-        let m = g.segment_mean(a, &[0, 0, 1, 2], 4);
+        let m = g.segment_mean(a, &Index::new(vec![0, 0, 1, 2], 4));
         let v = g.value(m);
         assert_eq!(v.row_slice(0), &[3.0, 0.0]);
         assert_eq!(v.row_slice(1), &[8.0, 8.0]);

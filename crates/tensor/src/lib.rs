@@ -41,10 +41,13 @@
 //!   scalar fallbacks by construction (no FMA contraction; shared
 //!   deterministic `exp`), so outputs and checkpoints do not depend on the
 //!   host's vector units. `SITEREC_NO_SIMD=1` forces the scalar path.
-//! * **Epoch-persistent memory** ([`TapeArena`], [`memo`]): tapes can lease
-//!   all their buffers from a size-bucketed pool owned by the training loop
-//!   (zero allocations once warm), and static edge lists are interned with
-//!   their CSR inversions memoized across epochs.
+//! * **Graph structure as data** ([`Index`]): every id list an index op
+//!   reads is an `Arc<Index>` built once with the model. It checks its ids
+//!   at construction and builds its CSR inversion on first use, shared by
+//!   every tape that replays it.
+//! * **Epoch-persistent memory** ([`TapeArena`]): tapes can lease all their
+//!   buffers from a size-bucketed pool owned by the training loop (zero
+//!   allocations once warm).
 //!
 //! ```
 //! use siterec_tensor::{Graph, ParamStore, Init, Tensor, optim::{Adam, Optimizer}};
@@ -71,9 +74,9 @@ pub mod arena;
 pub mod checkpoint;
 mod gradcheck;
 mod graph;
+mod index;
 mod init;
 pub mod kernels;
-pub mod memo;
 pub mod nn;
 pub mod optim;
 pub mod parallel;
@@ -90,6 +93,7 @@ pub use checkpoint::{
 };
 pub use gradcheck::{check_input_grad, GradCheck};
 pub use graph::{Graph, Var};
+pub use index::{Csr, Index};
 pub use init::Init;
 pub use parallel::ParallelConfig;
 pub use param::{Bindings, Param, ParamId, ParamStore};

@@ -156,12 +156,6 @@ impl Embedding {
         Embedding { table, num, dim }
     }
 
-    /// Look up rows by index: result is `idx.len() x dim`.
-    pub fn lookup(&self, g: &mut Graph, binds: &Bindings, idx: &[usize]) -> Var {
-        let t = binds.var(self.table);
-        g.gather_rows(t, idx)
-    }
-
     /// The entire table as a tape var (`num x dim`).
     pub fn all(&self, binds: &Bindings) -> Var {
         binds.var(self.table)
@@ -224,24 +218,6 @@ mod tests {
             first.unwrap(),
             last
         );
-    }
-
-    #[test]
-    fn embedding_lookup_grads_hit_only_used_rows() {
-        let mut ps = ParamStore::new(9);
-        let emb = Embedding::new(&mut ps, "e", 5, 3);
-        let mut g = Graph::new();
-        let binds = ps.bind(&mut g);
-        let rows = emb.lookup(&mut g, &binds, &[1, 3]);
-        let l = g.sum_all(rows);
-        g.backward(l);
-        ps.zero_grads();
-        ps.harvest(&g, &binds);
-        let grad = &ps.get(emb.table).grad;
-        for r in 0..5 {
-            let touched = r == 1 || r == 3;
-            assert_eq!(grad.row_slice(r).iter().any(|&x| x != 0.0), touched);
-        }
     }
 
     #[test]

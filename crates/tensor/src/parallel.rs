@@ -35,8 +35,6 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use serde::{Deserialize, Serialize};
-
 /// Process-global worker count for the tensor kernels. 1 = serial.
 static KERNEL_THREADS: AtomicUsize = AtomicUsize::new(1);
 
@@ -324,7 +322,7 @@ pub fn csr_invert(targets: &[usize], n_targets: usize) -> (Vec<usize>, Vec<usize
 /// per-call-site plumbing. The default of 1 keeps everything serial and
 /// bit-for-bit reproducible against historical results (parallel runs are
 /// bitwise identical to serial ones anyway; see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {
     /// Worker threads for tensor kernels. 1 = serial (the default).
     pub threads: usize,

@@ -11,14 +11,13 @@ use crate::init::Init;
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Stable identifier of a parameter inside a [`ParamStore`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ParamId(pub usize);
 
 /// One named, trainable tensor plus its accumulated gradient.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Param {
     /// Human-readable name (used in debugging / serialization).
     pub name: String,
@@ -29,18 +28,10 @@ pub struct Param {
 }
 
 /// A flat collection of model parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ParamStore {
     params: Vec<Param>,
-    #[serde(skip, default = "default_rng")]
     rng: StdRng,
-}
-
-// Referenced only through the `#[serde(default = ...)]` attribute, which the
-// offline serde shim expands to nothing — hence the allow.
-#[allow(dead_code)]
-fn default_rng() -> StdRng {
-    StdRng::seed_from_u64(0)
 }
 
 /// The tape-local handles produced by [`ParamStore::bind`], indexed by

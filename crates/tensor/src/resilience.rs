@@ -34,7 +34,6 @@
 use crate::graph::Graph;
 use crate::optim::Adam;
 use crate::param::ParamStore;
-use serde::{Deserialize, Serialize};
 use siterec_obs as obs;
 use std::fmt;
 
@@ -155,7 +154,7 @@ pub fn record_train_error(model: &str, seed: u64, err: &TrainError) {
 }
 
 /// Guardrail configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GuardConfig {
     /// Total recovery budget across the whole run (0 = fail on first fault).
     pub max_recoveries: usize,

@@ -5,11 +5,10 @@
 //! The op set is deliberately small: exactly what the O²-SiteRec model family
 //! needs, implemented simply and tested heavily.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense row-major matrix of `f32`.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Tensor {
     rows: usize,
     cols: usize,

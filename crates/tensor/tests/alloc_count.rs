@@ -12,7 +12,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use siterec_tensor::optim::{Adam, Optimizer};
-use siterec_tensor::{Graph, Init, ParamStore, TapeArena, Tensor};
+use siterec_tensor::{Graph, Index, Init, ParamStore, TapeArena, Tensor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -58,8 +58,14 @@ fn steady_state_epochs_lease_instead_of_malloc() {
     let dim = 32;
     let epochs = 8usize;
     let mut rng = StdRng::seed_from_u64(5);
-    let src: Vec<usize> = (0..n_edges).map(|_| rng.gen_range(0..n_nodes)).collect();
-    let dst: Vec<usize> = (0..n_edges).map(|_| rng.gen_range(0..n_nodes)).collect();
+    let src = Index::new(
+        (0..n_edges).map(|_| rng.gen_range(0..n_nodes)).collect(),
+        n_nodes,
+    );
+    let dst = Index::new(
+        (0..n_edges).map(|_| rng.gen_range(0..n_nodes)).collect(),
+        n_nodes,
+    );
     let target = Tensor::zeros(n_nodes, dim);
     let mut ps = ParamStore::new(3);
     let emb = ps.add("emb", n_nodes, dim, Init::XavierUniform);
@@ -77,9 +83,9 @@ fn steady_state_epochs_lease_instead_of_malloc() {
         let hs = g.gather_rows(binds.var(emb), &src);
         let ht = g.gather_rows(binds.var(emb), &dst);
         let scores = g.row_dot(hs, ht);
-        let att = g.segment_softmax(&dst, scores);
+        let att = g.segment_softmax(scores, &dst);
         let weighted = g.mul_col_broadcast(hs, att);
-        let pooled = g.segment_sum(weighted, &dst, n_nodes);
+        let pooled = g.segment_sum(weighted, &dst);
         let h = g.matmul(pooled, binds.var(head));
         let act = g.tanh(h);
         let loss = g.mse_loss(act, &target);
@@ -94,7 +100,7 @@ fn steady_state_epochs_lease_instead_of_malloc() {
     }
 
     // Epoch 0 pays for everything: pool population (every lease misses),
-    // memoized CSR inversion, Adam moment buffers. From epoch 1 on the
+    // the indices' CSR inversions, Adam moment buffers. From epoch 1 on the
     // f32 payloads all come from the pool, so allocator traffic collapses
     // to tape bookkeeping (node/grad vecs and the like).
     let warm = epoch_bytes[0];

@@ -14,8 +14,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use siterec_tensor::parallel::ThreadGuard;
 use siterec_tensor::simd::SimdGuard;
-use siterec_tensor::{Graph, Tensor, Var};
-use std::sync::Mutex;
+use siterec_tensor::{Graph, Index, Tensor, Var};
+use std::sync::{Arc, Mutex};
 
 // The kernel thread count is process-global; tests that flip it must not
 // interleave with each other.
@@ -49,23 +49,25 @@ fn composed(
     k_all: Var,
     q_all: Var,
     w_e: Var,
-    dsts: &[usize],
+    dsts: &Arc<Index>,
     heads: usize,
-    n_dst: usize,
 ) -> Var {
     let head_dim = g.value(k_all).cols() / heads;
     let mut head_outs = Vec::with_capacity(heads);
     for i in 0..heads {
         let k_i = g.slice_cols(k_all, i * head_dim, head_dim);
         let q_i = g.slice_cols(q_all, i * head_dim, head_dim);
-        let we_rows: Vec<usize> = (i * head_dim..(i + 1) * head_dim).collect();
+        let we_rows = Index::new(
+            (i * head_dim..(i + 1) * head_dim).collect(),
+            heads * head_dim,
+        );
         let w_e_i = g.gather_rows(w_e, &we_rows);
         let kw = g.matmul(k_i, w_e_i);
         let raw = g.row_dot(kw, q_i);
         let score = g.leaky_relu(raw, 0.2);
-        let alpha = g.segment_softmax(dsts, score);
+        let alpha = g.segment_softmax(score, dsts);
         let weighted = g.mul_col_broadcast(k_i, alpha);
-        let agg = g.segment_sum(weighted, dsts, n_dst);
+        let agg = g.segment_sum(weighted, dsts);
         head_outs.push(g.relu(agg));
     }
     g.concat_cols(&head_outs)
@@ -121,10 +123,11 @@ fn run(c: &Case, fused: bool, k_reused: bool) -> Vec<Vec<u32>> {
     let k = g.param(k0);
     let q = g.param(q0);
     let w = g.param(w0);
+    let dsts = Index::new(c.dsts.clone(), c.n_dst);
     let out = if fused {
-        g.edge_attention(k, q, w, &c.dsts, c.heads, c.n_dst)
+        g.edge_attention(k, q, w, &dsts, c.heads)
     } else {
-        composed(&mut g, k, q, w, &c.dsts, c.heads, c.n_dst)
+        composed(&mut g, k, q, w, &dsts, c.heads)
     };
     let r = g.constant(r_out);
     let weighted = g.mul(out, r);

@@ -1,7 +1,7 @@
 //! Property-based finite-difference verification of every autodiff op.
 
 use proptest::prelude::*;
-use siterec_tensor::{check_input_grad, Graph, Tensor, Var};
+use siterec_tensor::{check_input_grad, Graph, Index, Tensor, Var};
 
 /// Strategy: small tensor with bounded values, away from ReLU kinks.
 fn small_tensor(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
@@ -41,7 +41,7 @@ fn attn_fixed(g: &mut Graph, rows: usize, cols: usize, scale: f32) -> Var {
 /// Two heads of width 2 over five edges into three destinations (one with
 /// no in-edges), each output element weighted differently.
 fn edge_attention_loss(g: &mut Graph, k: Var, q: Var, w_e: Var) -> Var {
-    let out = g.edge_attention(k, q, w_e, &[0, 2, 0, 2, 2], 2, 3);
+    let out = g.edge_attention(k, q, w_e, &Index::new(vec![0, 2, 0, 2, 2], 3), 2);
     let c = attn_fixed(g, 3, 4, 0.2);
     let weighted = g.mul(out, c);
     g.sum_all(weighted)
@@ -108,7 +108,7 @@ proptest! {
     #[test]
     fn grad_gather_rows(t in small_tensor(4, 2)) {
         assert_grad_ok(&t, |g, x| {
-            let y = g.gather_rows(x, &[3, 1, 1, 0]);
+            let y = g.gather_rows(x, &Index::new(vec![3, 1, 1, 0], 4));
             let sq = g.mul(y, y);
             g.mean_all(sq)
         });
@@ -117,7 +117,7 @@ proptest! {
     #[test]
     fn grad_segment_sum(t in small_tensor(5, 2)) {
         assert_grad_ok(&t, |g, x| {
-            let s = g.segment_sum(x, &[0, 1, 0, 2, 1], 3);
+            let s = g.segment_sum(x, &Index::new(vec![0, 1, 0, 2, 1], 3));
             let sq = g.mul(s, s);
             g.sum_all(sq)
         });
@@ -126,7 +126,7 @@ proptest! {
     #[test]
     fn grad_segment_softmax(t in small_tensor(5, 1)) {
         assert_grad_ok(&t, |g, x| {
-            let sm = g.segment_softmax(&[0, 0, 1, 1, 1], x);
+            let sm = g.segment_softmax(x, &Index::new(vec![0, 0, 1, 1, 1], 2));
             let w = g.constant(Tensor::from_vec(5, 1, vec![1.0, 2.0, -1.0, 0.5, 3.0]));
             let weighted = g.mul(sm, w);
             g.sum_all(weighted)
@@ -248,15 +248,16 @@ proptest! {
         // per-target softmax, weighted segment-sum of values.
         assert_grad_ok(&t, |g, x| {
             let wq = g.constant(Tensor::from_vec(3, 3, (0..9).map(|i| 0.2 * (i as f32) - 0.8).collect()));
-            let edges_src = [0usize, 1, 2, 3];
-            let edges_dst = [0usize, 0, 1, 1];
+            let edges_src = Index::new(vec![0, 1, 2, 3], 4);
+            let edges_dst = Index::new(vec![0, 0, 1, 1], 4);
+            let targets = Index::new(vec![0, 0, 1, 1], 2);
             let q = g.matmul(x, wq);
             let k = g.gather_rows(x, &edges_src);
             let qe = g.gather_rows(q, &edges_dst);
             let scores = g.row_dot(k, qe);
-            let alpha = g.segment_softmax(&edges_dst, scores);
+            let alpha = g.segment_softmax(scores, &targets);
             let weighted = g.mul_col_broadcast(k, alpha);
-            let agg = g.segment_sum(weighted, &edges_dst, 2);
+            let agg = g.segment_sum(weighted, &targets);
             let sq = g.mul(agg, agg);
             g.mean_all(sq)
         });

@@ -30,7 +30,7 @@ use siterec_tensor::kernels::{
 use siterec_tensor::optim::{Adam, Optimizer};
 use siterec_tensor::parallel::ThreadGuard;
 use siterec_tensor::simd::SimdGuard;
-use siterec_tensor::{Graph, Init, ParamStore, TapeArena, Tensor};
+use siterec_tensor::{Graph, Index, Init, ParamStore, TapeArena, Tensor};
 use std::sync::Mutex;
 
 // The kernel thread count is process-global; tests that flip it must not
@@ -415,7 +415,10 @@ fn segment_softmax_simd_bits_match_scalar_on_adversarial_scores() {
     let n_edges = 4097; // odd, non-multiple of 8: exercises the SIMD tail
     let n_seg = 63;
     let mut rng = StdRng::seed_from_u64(0xA77);
-    let seg: Vec<usize> = (0..n_edges).map(|_| rng.gen_range(0..n_seg)).collect();
+    let seg = Index::new(
+        (0..n_edges).map(|_| rng.gen_range(0..n_seg)).collect(),
+        n_seg,
+    );
     let mut scores0 = Tensor::zeros(n_edges, 1);
     bit_adversarial_fill(scores0.data_mut(), &mut rng);
 
@@ -423,7 +426,7 @@ fn segment_softmax_simd_bits_match_scalar_on_adversarial_scores() {
         let _s = force_scalar.then(SimdGuard::force_scalar);
         let mut g = Graph::new();
         let scores = g.param(scores0.clone());
-        let att = g.segment_softmax(&seg, scores);
+        let att = g.segment_softmax(scores, &seg);
         g.value(att).data().iter().map(|v| v.to_bits()).collect()
     };
     for threads in [1usize, 8] {

@@ -5,7 +5,7 @@
 //! obs_overhead`).
 
 use siterec_obs as obs;
-use siterec_tensor::{Graph, Tensor};
+use siterec_tensor::{Graph, Index, Tensor};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -36,17 +36,17 @@ fn disabled_recorder_overhead_is_negligible() {
     let n_edges = 4_000;
     let dim = 32;
     let emb0 = Tensor::full(n_nodes, dim, 0.1);
-    let src: Vec<usize> = (0..n_edges).map(|i| (i * 31) % n_nodes).collect();
-    let dst: Vec<usize> = (0..n_edges).map(|i| (i * 7) % n_nodes).collect();
+    let src = Index::new((0..n_edges).map(|i| (i * 31) % n_nodes).collect(), n_nodes);
+    let dst = Index::new((0..n_edges).map(|i| (i * 7) % n_nodes).collect(), n_nodes);
     let t_op = time_median(5, || {
         let mut g = Graph::new();
         let emb = g.param(emb0.clone());
         let hs = g.gather_rows(emb, &src);
         let ht = g.gather_rows(emb, &dst);
         let s = g.row_dot(hs, ht);
-        let alpha = g.segment_softmax(&dst, s);
+        let alpha = g.segment_softmax(s, &dst);
         let wv = g.mul_col_broadcast(hs, alpha);
-        let agg = g.segment_sum(wv, &dst, n_nodes);
+        let agg = g.segment_sum(wv, &dst);
         let loss = g.mean_all(agg);
         g.backward(loss);
         black_box(g.grad(emb).is_some());

@@ -11,7 +11,7 @@ use rand::{Rng, SeedableRng};
 use siterec_tensor::optim::{Adam, Optimizer};
 use siterec_tensor::parallel::ThreadGuard;
 use siterec_tensor::simd::SimdGuard;
-use siterec_tensor::{check_input_grad, Graph, Init, ParamStore, Tensor};
+use siterec_tensor::{check_input_grad, Graph, Index, Init, ParamStore, Tensor};
 use std::sync::Mutex;
 
 // The kernel thread count is process-global; tests that flip it must not
@@ -73,8 +73,14 @@ fn attention_pipeline_bitwise_equal_forward_and_backward() {
     let dim = 33;
     let mut rng = StdRng::seed_from_u64(11);
     let emb0 = random_tensor(&mut rng, n_nodes, dim);
-    let src: Vec<usize> = (0..n_edges).map(|_| rng.gen_range(0..n_nodes)).collect();
-    let dst: Vec<usize> = (0..n_edges).map(|_| rng.gen_range(0..n_nodes)).collect();
+    let src = Index::new(
+        (0..n_edges).map(|_| rng.gen_range(0..n_nodes)).collect(),
+        n_nodes,
+    );
+    let dst = Index::new(
+        (0..n_edges).map(|_| rng.gen_range(0..n_nodes)).collect(),
+        n_nodes,
+    );
     let target = Tensor::zeros(n_nodes, dim);
 
     let run = || {
@@ -83,9 +89,9 @@ fn attention_pipeline_bitwise_equal_forward_and_backward() {
         let hs = g.gather_rows(emb, &src);
         let ht = g.gather_rows(emb, &dst);
         let scores = g.row_dot(hs, ht);
-        let att = g.segment_softmax(&dst, scores);
+        let att = g.segment_softmax(scores, &dst);
         let weighted = g.mul_col_broadcast(hs, att);
-        let pooled = g.segment_sum(weighted, &dst, n_nodes);
+        let pooled = g.segment_sum(weighted, &dst);
         let act = g.tanh(pooled);
         let loss = g.mse_loss(act, &target);
         g.backward(loss);
@@ -203,8 +209,14 @@ fn arena_pooled_training_bitwise_equal_to_plain() {
     let n_edges = 1500;
     let dim = 19;
     let mut rng = StdRng::seed_from_u64(31);
-    let src: Vec<usize> = (0..n_edges).map(|_| rng.gen_range(0..n_nodes)).collect();
-    let dst: Vec<usize> = (0..n_edges).map(|_| rng.gen_range(0..n_nodes)).collect();
+    let src = Index::new(
+        (0..n_edges).map(|_| rng.gen_range(0..n_nodes)).collect(),
+        n_nodes,
+    );
+    let dst = Index::new(
+        (0..n_edges).map(|_| rng.gen_range(0..n_nodes)).collect(),
+        n_nodes,
+    );
     let target = Tensor::zeros(n_nodes, dim);
     let run = |arena: Option<TapeArena>| -> Vec<Tensor> {
         let mut ps = ParamStore::new(17);
@@ -220,9 +232,9 @@ fn arena_pooled_training_bitwise_equal_to_plain() {
             let hs = g.gather_rows(binds.var(emb), &src);
             let ht = g.gather_rows(binds.var(emb), &dst);
             let scores = g.row_dot(hs, ht);
-            let att = g.segment_softmax(&dst, scores);
+            let att = g.segment_softmax(scores, &dst);
             let weighted = g.mul_col_broadcast(hs, att);
-            let pooled = g.segment_sum(weighted, &dst, n_nodes);
+            let pooled = g.segment_sum(weighted, &dst);
             let h = g.matmul(pooled, binds.var(head));
             let act = g.tanh(h);
             let loss = g.mse_loss(act, &target);
@@ -262,8 +274,14 @@ fn arena_pooled_simd_training_bitwise_equal_to_forced_scalar() {
     let n_edges = 1300;
     let dim = 21;
     let mut rng = StdRng::seed_from_u64(43);
-    let src: Vec<usize> = (0..n_edges).map(|_| rng.gen_range(0..n_nodes)).collect();
-    let dst: Vec<usize> = (0..n_edges).map(|_| rng.gen_range(0..n_nodes)).collect();
+    let src = Index::new(
+        (0..n_edges).map(|_| rng.gen_range(0..n_nodes)).collect(),
+        n_nodes,
+    );
+    let dst = Index::new(
+        (0..n_edges).map(|_| rng.gen_range(0..n_nodes)).collect(),
+        n_nodes,
+    );
     let target = Tensor::zeros(n_nodes, dim);
     let run = |leg: &str| -> Vec<Vec<u32>> {
         let _s = match leg {
@@ -282,9 +300,9 @@ fn arena_pooled_simd_training_bitwise_equal_to_forced_scalar() {
             let hs = g.gather_rows(binds.var(emb), &src);
             let ht = g.gather_rows(binds.var(emb), &dst);
             let scores = g.row_dot(hs, ht);
-            let att = g.segment_softmax(&dst, scores);
+            let att = g.segment_softmax(scores, &dst);
             let weighted = g.mul_col_broadcast(hs, att);
-            let pooled = g.segment_sum(weighted, &dst, n_nodes);
+            let pooled = g.segment_sum(weighted, &dst);
             let h = g.matmul(pooled, binds.var(head));
             let act = g.tanh(h);
             let loss = g.mse_loss(act, &target);
@@ -362,9 +380,9 @@ fn gradcheck_passes_with_parallel_kernels_active() {
     let _g = ThreadGuard::set(4);
     let mut rng = StdRng::seed_from_u64(5);
     let input = random_tensor(&mut rng, 30, 7);
-    let dst: Vec<usize> = (0..30).map(|i| i % 6).collect();
+    let dst = Index::new((0..30).map(|i| i % 6).collect(), 6);
     let report = check_input_grad(&input, 1e-3, |g, x| {
-        let s = g.segment_sum(x, &dst, 6);
+        let s = g.segment_sum(x, &dst);
         let t = g.tanh(s);
         g.mean_all(t)
     });
