@@ -294,7 +294,8 @@ impl TrainLoop {
             }
         }
         // One pool for the whole run: epoch tapes lease from it and refill
-        // it on drop, so epochs after the first allocate (almost) nothing.
+        // it as backward passes their nodes and on drop, so epochs after
+        // the first allocate (almost) nothing.
         let arena = self.arena.then(TapeArena::new);
         while epoch < self.epochs {
             let base = self.seed ^ ((epoch as u64) << 3);
@@ -351,6 +352,9 @@ impl TrainLoop {
                 model = self.name,
                 epoch = epoch,
                 loss = loss_v,
+                arena_peak_mb = arena
+                    .as_ref()
+                    .map_or(0.0, |a| a.stats().peak_bytes as f64 / (1 << 20) as f64),
             );
             obs::hist_record("train.loss", loss_v as f64);
             losses.push(loss_v);

@@ -222,11 +222,25 @@ impl O2SiteRec {
         &self.recoveries
     }
 
-    /// Counters of the epoch-persistent tape arena (lease/miss/recycle).
-    /// After the first epoch warms the pool, further epochs should miss
-    /// (allocate) essentially never.
+    /// Counters of the epoch-persistent tape arena (lease/miss/recycle,
+    /// bytes held and their peak). After the first epoch warms the pool,
+    /// further epochs and evaluation tapes should miss (allocate)
+    /// essentially never.
     pub fn arena_stats(&self) -> ArenaStats {
         self.arena.stats()
+    }
+
+    /// An evaluation-mode tape. With `cfg.arena` set it leases from the
+    /// model's arena, so evaluation reuses the buffers training pooled
+    /// instead of allocating beside them; the seed is [`Graph::new`]'s.
+    fn eval_graph(&self) -> Graph {
+        let mut g = if self.cfg.arena {
+            Graph::with_seed_and_arena(Graph::DEFAULT_SEED, self.arena.clone())
+        } else {
+            Graph::new()
+        };
+        g.training = false;
+        g
     }
 
     fn forward_losses(&self, g: &mut Graph) -> (Bindings, Var, Var, Var) {
@@ -437,6 +451,7 @@ impl O2SiteRec {
                 o2 = rec.o2,
                 o1 = rec.o1,
                 recoveries = rec.recoveries,
+                arena_peak_mb = self.arena.stats().peak_bytes as f64 / (1 << 20) as f64,
             );
             obs::hist_record("train.loss", rec.loss as f64);
             self.history.push(rec);
@@ -472,8 +487,7 @@ impl O2SiteRec {
 
     /// Evaluation-mode losses on the training batch (diagnostic).
     pub fn current_losses(&self) -> TrainEpoch {
-        let mut g = Graph::new();
-        g.training = false;
+        let mut g = self.eval_graph();
         let (_binds, loss, o2, o1) = self.forward_losses(&mut g);
         TrainEpoch {
             epoch: self.history.len(),
@@ -514,8 +528,7 @@ impl O2SiteRec {
         }
         let (ss, aa): (Vec<usize>, Vec<usize>) = node_pairs.into_iter().unzip();
         let (ss, aa) = self.model.pair_indices(ss, aa);
-        let mut g = Graph::new();
-        g.training = false;
+        let mut g = self.eval_graph();
         let binds = self.ps.bind(&mut g);
         let caps = self.capacity.as_ref().map(|c| {
             let o = c.forward(&mut g, &binds);
@@ -543,8 +556,7 @@ impl O2SiteRec {
     /// the region mapping. See [`ServingExport`].
     pub fn export_serving(&self) -> ServingExport {
         let _span = obs::span!("export_serving", model = MODEL_NAME);
-        let mut g = Graph::new();
-        g.training = false;
+        let mut g = self.eval_graph();
         let binds = self.ps.bind(&mut g);
         let caps = self.capacity.as_ref().map(|c| {
             let o = c.forward(&mut g, &binds);

@@ -1,8 +1,8 @@
 //! Arena/kernel compatibility with the durability layer: the epoch-persistent
 //! `TapeArena` and the tiled matmul path must be invisible to everything
-//! downstream — `SRCKPT1` checkpoints byte-identical with the arena on or
-//! off, resume working across a mid-run flip of the setting, and tape
-//! profiling (`op_profile` records) unperturbed.
+//! downstream — `SRCKPT1` checkpoints and predictions byte-identical with
+//! the arena on or off, resume working across a mid-run flip of the
+//! setting, and tape profiling (`op_profile` records) unperturbed.
 
 use siterec_core::{O2SiteRec, SiteRecConfig, Variant};
 use siterec_graphs::SiteRecTask;
@@ -56,6 +56,40 @@ fn checkpoints_byte_identical_with_arena_on_or_off() {
         "SRCKPT1 checkpoints differ between arena on and off"
     );
     let _ = std::fs::remove_dir_all(&base);
+}
+
+#[test]
+fn predict_after_training_reuses_the_pool_and_keeps_its_bits() {
+    // Evaluation tapes lease from the model's arena: once training has
+    // pooled its buffers, a predict allocates (almost) nothing new, and
+    // scores the same bits as a model that never pooled.
+    let (d, t) = task();
+    let pairs: Vec<(usize, usize)> = t.split.test.iter().map(|i| (i.region, i.ty)).collect();
+    let mut preds = Vec::new();
+    for arena in [true, false] {
+        let mut m = O2SiteRec::new(&d, &t, tiny_cfg(arena));
+        m.try_train().unwrap();
+        let before = m.arena_stats();
+        let p = m.predict(&pairs);
+        let after = m.arena_stats();
+        if arena {
+            // Only the pair-sized buffers (test pairs, not training pairs)
+            // can miss; they are a sliver of the pooled bytes.
+            assert!(after.leases > before.leases, "predict did not lease");
+            assert!(
+                after.misses - before.misses <= (after.leases - before.leases) / 5
+                    && after.bytes - before.bytes <= before.bytes / 20,
+                "predict allocated beside the pool: {before:?} -> {after:?}"
+            );
+        } else {
+            assert_eq!(after, before, "an arena-off model touched its arena");
+        }
+        preds.push(p.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+    }
+    assert!(
+        preds[0] == preds[1],
+        "predict bits differ between arena on and off"
+    );
 }
 
 #[test]

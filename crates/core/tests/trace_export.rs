@@ -37,6 +37,18 @@ fn chrome_trace_covers_every_epoch() {
     let journal = obs::journal_to_string();
     obs::validate_journal(&journal).expect("journal validates");
 
+    // Each train_epoch record carries the tape arena's high-water mark,
+    // which only grows: the pool keeps what the first epoch leased.
+    let peaks: Vec<f64> = journal
+        .lines()
+        .filter_map(|l| obs::json::parse(l).ok())
+        .filter(|r| r.get("type").and_then(|t| t.as_str()) == Some("train_epoch"))
+        .filter_map(|r| r.get("arena_peak_mb")?.as_num())
+        .collect();
+    assert_eq!(peaks.len(), EPOCHS, "arena_peak_mb missing: {peaks:?}");
+    assert!(peaks[0] > 0.0, "{peaks:?}");
+    assert!(peaks.windows(2).all(|w| w[0] <= w[1]), "{peaks:?}");
+
     let chrome = obs::trace::chrome_trace_from_journal(&journal).expect("trace exports");
     let parsed = obs::json::parse(&chrome).expect("chrome trace is valid JSON");
     let events = match parsed.get("traceEvents") {

@@ -16,7 +16,7 @@
 //! | `gauge`       | `name` (str), `value` (num or str for non-finite)            |
 //! | `histogram`   | `name` (str), `count`, `sum`, `min`, `max`, `buckets` (arr)  |
 //! | `op_profile`  | `op` (str), `calls`, `forward_ns`, `backward_ns`, `elements` |
-//! | `train_epoch` | `model` (str), `epoch` (num), `loss` (num or str)            |
+//! | `train_epoch` | `model` (str), `epoch` (num), `loss` (num or str); optional `arena_peak_mb` (num) |
 //! | `recovery`    | `model` (str), `seed`, `epoch`, `attempt` (num), `fault` (str), `lr_before`, `lr_after` (num or str) |
 //! | `train_error` | `model` (str), `epoch` (num), `fault` (str)                  |
 //! | `job_failure` | `index` (num), `attempts` (num), `message` (str)             |
@@ -33,7 +33,8 @@
 //! | `supervisor_event` | `event` (str), `replica` (num), `detail` (str)           |
 //!
 //! Unknown types fail validation: the schema is closed so that a typo in an
-//! emitting call site is caught by CI rather than silently ignored.
+//! emitting call site is caught by CI rather than silently ignored. An
+//! optional field may be absent, but when present it must have its kind.
 
 use crate::json::{self, Json};
 use crate::recorder::{self, Record, Value};
@@ -177,6 +178,9 @@ impl Kind {
         }
     }
 }
+
+/// Typed fields a record may carry beyond its required ones.
+const OPTIONAL: &[(&str, &[(&str, Kind)])] = &[("train_epoch", &[("arena_peak_mb", Kind::Num)])];
 
 const SCHEMA: &[(&str, &[(&str, Kind)])] = &[
     ("run_start", &[("name", Kind::Str)]),
@@ -366,6 +370,15 @@ pub fn validate_journal(text: &str) -> Result<JournalStats, String> {
                     ));
                 }
                 Some(_) => {}
+            }
+        }
+        let optional = OPTIONAL.iter().filter(|(t, _)| *t == kind);
+        for (field, want) in optional.flat_map(|(_, fields)| fields.iter()) {
+            if value.get(field).is_some_and(|v| !want.matches(v)) {
+                return Err(format!(
+                    "line {lineno}: {kind} field {field:?} must be a {}",
+                    want.name()
+                ));
             }
         }
         *stats.by_type.entry(kind.to_string()).or_insert(0) += 1;

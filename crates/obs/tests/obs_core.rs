@@ -293,6 +293,12 @@ fn validator_rejects_schema_violations() {
     )
     .unwrap_err();
     assert!(err.contains("missing required field"), "{err}");
+    // An optional field, when present, must have its kind.
+    let err = obs::validate_journal(
+        "{\"type\":\"train_epoch\",\"model\":\"m\",\"epoch\":0,\"loss\":1,\"arena_peak_mb\":\"big\"}",
+    )
+    .unwrap_err();
+    assert!(err.contains("\"arena_peak_mb\" must be a number"), "{err}");
     // Supervisor event with a non-numeric replica index.
     let err = obs::validate_journal(
         "{\"type\":\"supervisor_event\",\"event\":\"spawn\",\"replica\":\"one\",\"detail\":\"\"}",

@@ -5,8 +5,17 @@
 //! per run. A [`TapeArena`] is a size-bucketed free list of `Vec<f32>`
 //! buffers owned by the training loop: graphs created with
 //! [`Graph::with_seed_and_arena`](crate::Graph::with_seed_and_arena) lease
-//! their buffers from it and recycle them on drop, so epochs after the
-//! first hit the allocator zero times for tape storage.
+//! their buffers from it and recycle them, so epochs after the first hit
+//! the allocator zero times for tape storage.
+//!
+//! Buffers come back at two points. [`Graph::backward`](crate::Graph::backward)
+//! recycles each non-leaf node's value, op payload and gradient as soon as
+//! its reverse sweep has passed the node, and the gradient leases further
+//! down the same sweep reuse them; dropping the graph recycles the rest
+//! (leaves, and anything on a tape that never ran backward). The model's
+//! evaluation tapes (`predict`, serving export, diagnostic losses) lease
+//! from the same pool, so evaluation reuses what training pooled instead
+//! of faulting in pages beside it.
 //!
 //! Lifecycle:
 //!
@@ -14,9 +23,18 @@
 //!   O2SiteRec / TrainLoop owns: TapeArena ──────────────┐ (epoch-persistent)
 //!      epoch e:                                         │
 //!        Graph::with_seed_and_arena(seed_e, arena) ◄────┤ lease on demand
-//!          forward values / grads / scratch  ◄──────────┤   (zeroed)
+//!          forward values / scratch  ◄──────────────────┤   (zeroed)
+//!        backward(loss): node i passed ─────────────────┤ recycle value,
+//!          gradient leases  ◄───────────────────────────┤   payload, grad
+//!        drop(Graph) ───────────────────────────────────┤ recycle the rest
+//!      evaluation (predict / export / losses):          │
+//!        Graph::with_seed_and_arena(DEFAULT_SEED, ..) ◄─┤ lease
 //!        drop(Graph) ───────────────────────────────────┘ recycle all
 //! ```
+//!
+//! [`ArenaStats::bytes`] counts what the pool holds plus what it has lent
+//! out, and [`ArenaStats::peak_bytes`] its high-water mark: the tape memory
+//! a run needed at its largest.
 //!
 //! Buffers are bucketed by power-of-two *capacity class*: a buffer recycled
 //! into class `c` has capacity `>= 2^c`, and a lease of length `L` draws
@@ -52,11 +70,37 @@ pub struct ArenaStats {
     pub recycles: u64,
     /// Recycled buffers dropped because their bucket was full.
     pub discards: u64,
+    /// Capacity bytes of the buffers leased out and not yet returned, plus
+    /// those pooled. Exact while every returned buffer came from a lease; a
+    /// returned buffer the arena never leased (a tensor handed to
+    /// `Graph::param`, say) is booked as the return of leased bytes, as far
+    /// as any are out, and is pooled from then on.
+    pub bytes: u64,
+    /// High-water mark of [`Self::bytes`].
+    pub peak_bytes: u64,
+}
+
+impl ArenaStats {
+    /// Bytes handed out and not yet returned, and bytes pooled.
+    fn set_bytes(&mut self, leased: u64, pooled: u64) {
+        self.bytes = leased + pooled;
+        self.peak_bytes = self.peak_bytes.max(self.bytes);
+    }
+}
+
+/// Capacity of `v` in bytes.
+fn cap_bytes(v: &Vec<f32>) -> u64 {
+    (v.capacity() * std::mem::size_of::<f32>()) as u64
 }
 
 #[derive(Default)]
 struct Pool {
     buckets: Vec<Vec<Vec<f32>>>,
+    /// Capacity bytes leased out and not returned (saturating: a foreign
+    /// buffer's return cannot take it below zero).
+    leased: u64,
+    /// Capacity bytes sitting in `buckets`.
+    pooled: u64,
 }
 
 impl Pool {
@@ -73,6 +117,9 @@ impl Pool {
             }
             if let Some(mut v) = self.buckets[class].pop() {
                 debug_assert!(v.capacity() >= len);
+                let b = cap_bytes(&v);
+                self.pooled -= b;
+                self.leased += b;
                 v.clear();
                 v.resize(len, 0.0);
                 return v;
@@ -85,6 +132,8 @@ impl Pool {
             len
         });
         v.resize(len, 0.0);
+        self.leased += cap_bytes(&v);
+        stats.set_bytes(self.leased, self.pooled);
         v
     }
 
@@ -93,21 +142,21 @@ impl Pool {
             return;
         }
         stats.recycles += 1;
+        let b = cap_bytes(&v);
+        self.leased = self.leased.saturating_sub(b);
         // Bucket by the largest class the capacity fully covers, so every
         // buffer in class c satisfies any lease of length <= 2^c.
         let class = usize::BITS as usize - 1 - v.capacity().leading_zeros() as usize;
-        if class >= CLASSES {
-            stats.discards += 1;
-            return;
-        }
-        if self.buckets.len() <= class {
+        if self.buckets.len() <= class && class < CLASSES {
             self.buckets.resize_with(CLASSES, Vec::new);
         }
-        if self.buckets[class].len() >= MAX_PER_CLASS {
+        if class >= CLASSES || self.buckets[class].len() >= MAX_PER_CLASS {
             stats.discards += 1;
-            return;
+        } else {
+            self.buckets[class].push(v);
+            self.pooled += b;
         }
-        self.buckets[class].push(v);
+        stats.set_bytes(self.leased, self.pooled);
     }
 }
 
@@ -226,6 +275,28 @@ mod tests {
         let v = a.lease_f32(0);
         assert!(v.is_empty());
         a.recycle_f32(v);
+    }
+
+    #[test]
+    fn bytes_count_leased_plus_pooled_and_peak_holds() {
+        let a = TapeArena::new();
+        let v = a.lease_f32(100); // capacity 128: 512 bytes
+        let w = a.lease_f32(3); // capacity 4: 16 bytes
+        assert_eq!((a.stats().bytes, a.stats().peak_bytes), (528, 528));
+        a.recycle_f32(v);
+        assert_eq!(
+            a.stats().bytes,
+            528,
+            "a returned lease is pooled, not freed"
+        );
+        let x = a.lease_f32(120); // reuses the 128-capacity buffer
+        assert_eq!(a.stats().bytes, 528);
+        a.recycle_f32(x);
+        a.recycle_f32(w);
+        assert_eq!((a.stats().bytes, a.stats().peak_bytes), (528, 528));
+        let s = a.stats();
+        assert_eq!(s.misses, 2);
+        assert_eq!(s.discards, 0);
     }
 
     #[test]

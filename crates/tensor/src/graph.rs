@@ -77,6 +77,9 @@ enum Op {
     L1Loss(Var, Tensor),
     /// Fused multi-head edge attention (see [`Graph::edge_attention`]).
     EdgeAttention(Box<EdgeAttn>),
+    /// A node whose buffers [`Graph::backward`] released once its sweep had
+    /// passed it; names the op that produced it.
+    Released(&'static str),
 }
 
 /// Parents and saved forward state of one [`Graph::edge_attention`] node.
@@ -144,6 +147,7 @@ fn op_kind(op: &Op) -> &'static str {
         Op::MseLoss(..) => "mse_loss",
         Op::L1Loss(..) => "l1_loss",
         Op::EdgeAttention(..) => "edge_attention",
+        Op::Released(kind) => kind,
     }
 }
 
@@ -193,6 +197,29 @@ fn recycle(arena: &Option<TapeArena>, t: Tensor) {
     }
 }
 
+/// Return a node's buffers to the arena: its value and the tensor payload
+/// of its op (the dropout mask, a loss target, the `ScaleRowsConst` column,
+/// `EdgeAttn`'s saved `kw` / `raw` / `alpha`). Without an arena they drop.
+/// Both [`Graph::backward`]'s release and `Drop` go through here.
+fn recycle_node(arena: &Option<TapeArena>, value: Tensor, op: Op) {
+    recycle(arena, value);
+    match op {
+        Op::Dropout(_, t) | Op::MseLoss(_, t) | Op::L1Loss(_, t) => recycle(arena, t),
+        Op::ScaleRowsConst(_, c) => {
+            if let Some(a) = arena {
+                a.recycle_f32(c);
+            }
+        }
+        Op::EdgeAttention(ea) => {
+            let EdgeAttn { kw, raw, alpha, .. } = *ea;
+            for t in [kw, raw, alpha] {
+                recycle(arena, t);
+            }
+        }
+        _ => {}
+    }
+}
+
 impl Default for Graph {
     fn default() -> Self {
         Self::new()
@@ -200,10 +227,13 @@ impl Default for Graph {
 }
 
 impl Graph {
+    /// The dropout RNG seed of [`Graph::new`].
+    pub const DEFAULT_SEED: u64 = 0x5173_7265;
+
     /// New tape in training mode with a fixed RNG seed (dropout masks are
     /// deterministic given the seed and call order).
     pub fn new() -> Self {
-        Self::with_seed(0x5173_7265)
+        Self::with_seed(Self::DEFAULT_SEED)
     }
 
     /// New tape with an explicit dropout RNG seed.
@@ -220,9 +250,11 @@ impl Graph {
     }
 
     /// New tape leasing all forward values, gradients, and op scratch from
-    /// `arena` instead of the allocator; every buffer is recycled when the
-    /// graph drops. Pooled and non-pooled tapes are bit-identical (leases
-    /// are zero-filled, exactly like fresh allocations).
+    /// `arena` instead of the allocator. [`Graph::backward`] recycles each
+    /// non-leaf node's buffers as its sweep passes them, and every buffer
+    /// still held is recycled when the graph drops. Pooled and non-pooled
+    /// tapes are bit-identical (leases are zero-filled, exactly like fresh
+    /// allocations).
     pub fn with_seed_and_arena(seed: u64, arena: TapeArena) -> Self {
         let mut g = Self::with_seed(seed);
         g.arena = Some(arena);
@@ -337,11 +369,26 @@ impl Graph {
     }
 
     /// Forward value of a node.
+    ///
+    /// # Panics
+    /// Panics, naming the node, when [`Graph::backward`] has released it:
+    /// after `backward(loss)` only leaves and nodes recorded after `loss`
+    /// keep their values. Read what you need before the sweep.
     pub fn value(&self, v: Var) -> &Tensor {
-        &self.nodes[v.0].value
+        let node = &self.nodes[v.0];
+        if let Op::Released(kind) = node.op {
+            panic!(
+                "value of node {} ({kind}) read after backward released it",
+                v.0
+            );
+        }
+        &node.value
     }
 
     /// Gradient of the last `backward` loss w.r.t. node `v`, if any flowed.
+    /// Only leaves keep theirs: for any other node this is `None` after
+    /// [`Graph::backward`], which releases its gradient once the sweep has
+    /// passed it.
     pub fn grad(&self, v: Var) -> Option<&Tensor> {
         self.grads[v.0].as_ref()
     }
@@ -618,7 +665,7 @@ impl Graph {
                 *x *= ci;
             }
         }
-        // The stored payload is pooled too (recycled when the graph drops).
+        // The stored payload is pooled too (recycled with the node).
         let cvec = match &self.arena {
             Some(ar) => ar.lease_f32_copy(c),
             None => c.to_vec(),
@@ -912,18 +959,28 @@ impl Graph {
 
     // ---- backward -------------------------------------------------------
 
-    /// Reverse-mode sweep from a scalar `loss` node. Gradients accumulate into
-    /// [`Graph::grad`]; a second call adds on top (zero the tape by rebuilding
-    /// it, which is the intended per-step usage).
+    /// Reverse-mode sweep from a scalar `loss` node. Leaf gradients land in
+    /// [`Graph::grad`]; the tape is one-shot (rebuild it per step).
+    ///
+    /// The sweep releases as it goes. Once it has passed node `i`, nothing
+    /// reads that node again: its consumers all have larger indices, and
+    /// its own arm has run. So every non-leaf node up to `loss` gives back
+    /// its value, its op payload and its gradient as soon as the sweep
+    /// moves on, whether its arm ran or was skipped (no gradient needed, or
+    /// none reached it), and
+    /// is tagged released: [`Graph::value`] on it panics and
+    /// [`Graph::grad`] returns `None`. Leaves keep both, for
+    /// `ParamStore::harvest`. On an arena tape the buffers go back to the
+    /// arena, where the next gradient lease of the same sweep reuses them,
+    /// so the tape never holds every value and every gradient at once.
     ///
     /// The sweep is allocation-free when the tape has an arena: every
     /// per-parent gradient buffer is leased, and buffers that merge into an
     /// existing gradient are recycled on the spot (see `accumulate_grad`).
-    /// It also no longer clones op payloads or forward values — the old
-    /// `op.clone()` / `value().clone()` per node are direct borrows now.
     ///
     /// # Panics
-    /// Panics if `loss` is not `1x1`.
+    /// Panics if `loss` is not `1x1`, or was itself released by an earlier
+    /// sweep.
     pub fn backward(&mut self, loss: Var) {
         assert_eq!(
             self.value(loss).shape(),
@@ -943,9 +1000,13 @@ impl Graph {
             profile,
             ..
         } = self;
-        let nodes: &[Node] = nodes;
         accumulate_grad(nodes, grads, arena, loss, seed);
         for i in (0..=loss.0).rev() {
+            // The sweep passed node i + 1 on the previous iteration.
+            if i < loss.0 {
+                release(nodes, grads, arena, i + 1);
+            }
+            let nodes: &[Node] = nodes;
             if !nodes[i].needs_grad {
                 continue;
             }
@@ -958,7 +1019,7 @@ impl Graph {
             let kind = op_kind(&nodes[i].op);
             let bwd_start = profile.as_ref().map(|_| std::time::Instant::now());
             match &nodes[i].op {
-                Op::Leaf => {}
+                Op::Leaf | Op::Released(_) => {}
                 Op::Add(a, b) => {
                     let ga = lease_copy(arena, &g);
                     let gb = lease_copy(arena, &g);
@@ -1300,6 +1361,24 @@ impl Graph {
                 p.backward(kind, t0.elapsed());
             }
         }
+        release(nodes, grads, arena, 0);
+    }
+}
+
+/// Release node `i`, which the reverse sweep has passed: unless it is a
+/// leaf, its value, op payload and gradient go back to the arena (or are
+/// dropped) and it is tagged [`Op::Released`]. See [`Graph::backward`].
+fn release(nodes: &mut [Node], grads: &mut [Option<Tensor>], arena: &Option<TapeArena>, i: usize) {
+    let node = &mut nodes[i];
+    if matches!(node.op, Op::Leaf) {
+        return;
+    }
+    let kind = op_kind(&node.op);
+    let value = std::mem::replace(&mut node.value, Tensor::zeros(0, 0));
+    let op = std::mem::replace(&mut node.op, Op::Released(kind));
+    recycle_node(arena, value, op);
+    if let Some(g) = grads[i].take() {
+        recycle(arena, g);
     }
 }
 
@@ -1595,26 +1674,16 @@ impl Drop for Graph {
         if obs::enabled() {
             obs::hist_record("tensor.tape.len", self.nodes.len() as f64);
         }
-        // Return every leased buffer — forward values, tensor op payloads,
-        // and gradients — to the arena for the next epoch's tape.
-        if let Some(arena) = self.arena.take() {
+        // Return every buffer still held — forward values, tensor op
+        // payloads, and gradients — to the arena for the next tape. Nodes
+        // `backward` released hold empty buffers, which the arena ignores.
+        if self.arena.is_some() {
+            let arena = &self.arena;
             for node in self.nodes.drain(..) {
-                arena.recycle_f32(node.value.into_vec());
-                match node.op {
-                    Op::Dropout(_, mask) => arena.recycle_f32(mask.into_vec()),
-                    Op::MseLoss(_, t) | Op::L1Loss(_, t) => arena.recycle_f32(t.into_vec()),
-                    Op::ScaleRowsConst(_, c) => arena.recycle_f32(c),
-                    Op::EdgeAttention(ea) => {
-                        let EdgeAttn { kw, raw, alpha, .. } = *ea;
-                        for t in [kw, raw, alpha] {
-                            arena.recycle_f32(t.into_vec());
-                        }
-                    }
-                    _ => {}
-                }
+                recycle_node(arena, node.value, node.op);
             }
             for g in self.grads.drain(..).flatten() {
-                arena.recycle_f32(g.into_vec());
+                recycle(arena, g);
             }
         }
     }
@@ -1830,6 +1899,142 @@ mod tests {
             let fault = g.fault().expect("overflowing scores are a fault");
             assert!(fault.contains("edge_attention"), "{fault}");
         }
+    }
+
+    /// A small attention-and-MLP tape over every payload-carrying op:
+    /// returns its leaves and its loss. Leaves come in through `*_ref`, so
+    /// on an arena tape every buffer the tape holds is leased.
+    fn payload_tape(g: &mut Graph) -> (Vec<Var>, Var) {
+        let emb = g.param_ref(&Tensor::from_vec(
+            4,
+            4,
+            (0..16).map(|i| i as f32 * 0.1).collect(),
+        ));
+        let w = g.param_ref(&Tensor::full(4, 2, 0.3));
+        let x = g.constant_ref(&Tensor::full(4, 4, 0.5));
+        let dst = Index::new(vec![0, 1, 1, 2], 3);
+        let att = g.edge_attention(emb, x, w, &dst, 2);
+        let mean = g.segment_mean(emb, &dst);
+        let h = g.matmul(att, w);
+        let d = g.dropout(h, 0.25);
+        let t = g.tanh(d);
+        let l1 = g.l1_loss(mean, &Tensor::full(3, 4, 0.2));
+        let l2 = g.mse_loss(t, &Tensor::full(3, 2, 0.1));
+        let loss = g.add(l1, l2);
+        (vec![emb, w, x], loss)
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn released_tape_leaf_grads_match_a_fresh_tape() {
+        let grads = |g: &mut Graph| {
+            let (leaves, loss) = payload_tape(g);
+            g.backward(loss);
+            leaves
+                .iter()
+                .map(|&v| g.grad(v).map(bits))
+                .collect::<Vec<_>>()
+        };
+        let fresh = grads(&mut Graph::with_seed(3));
+        assert!(fresh[0].is_some() && fresh[1].is_some() && fresh[2].is_none());
+        // A warm arena hands the second tape buffers the first one released
+        // mid-sweep, dirty: each must still lease zeroed.
+        let arena = TapeArena::new();
+        for _ in 0..2 {
+            let mut g = Graph::with_seed_and_arena(3, arena.clone());
+            assert_eq!(grads(&mut g), fresh);
+        }
+    }
+
+    #[test]
+    fn backward_releases_every_non_leaf_gradient() {
+        let mut g = Graph::new();
+        let a = g.param(t(2, 2, vec![1., -2., 3., 4.]));
+        let h = g.matmul(a, a);
+        let r = g.relu(h);
+        let l = g.sum_all(r);
+        g.backward(l);
+        assert!(g.grad(a).is_some());
+        for v in [h, r, l] {
+            assert!(g.grad(v).is_none(), "node {v:?} kept its gradient");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "value of node 1 (relu) read after backward released it")]
+    fn value_of_a_released_node_panics_naming_it() {
+        let mut g = Graph::new();
+        let a = g.param(t(1, 2, vec![1.0, -1.0]));
+        let r = g.relu(a);
+        let l = g.sum_all(r);
+        g.backward(l);
+        assert_eq!(g.value(a).data(), &[1.0, -1.0], "leaves keep their value");
+        let _ = g.value(r);
+    }
+
+    #[test]
+    fn arena_tape_recycles_during_backward_and_drop_recycles_nothing_twice() {
+        let arena = TapeArena::new();
+        let mut g = Graph::with_seed_and_arena(3, arena.clone());
+        let (_, loss) = payload_tape(&mut g);
+        g.backward(loss);
+        let after = arena.stats();
+        drop(g);
+        let end = arena.stats();
+        // The nine non-leaf nodes and their seven payload buffers went back
+        // mid-sweep, so the drop returns only the three leaf values and the
+        // two parameter gradients...
+        assert_eq!(end.recycles - after.recycles, 5, "{after:?} -> {end:?}");
+        // ...and, over the tape's life, every leased buffer came back once.
+        assert_eq!(
+            end.recycles, end.leases,
+            "each leased buffer returns once: {end:?}"
+        );
+        assert_eq!(end.discards, 0);
+    }
+
+    #[test]
+    fn one_epoch_peak_is_below_what_the_unreleased_tape_held() {
+        use crate::optim::{Adam, Optimizer};
+        use crate::{Init, ParamStore};
+        let (n, d, layers) = (64, 32, 6);
+        let mut ps = ParamStore::new(5);
+        let ws: Vec<_> = (0..layers)
+            .map(|l| ps.add(&format!("w{l}"), d, d, Init::XavierUniform))
+            .collect();
+        let arena = TapeArena::new();
+        let mut g = Graph::with_seed_and_arena(1, arena.clone());
+        let binds = ps.bind(&mut g);
+        let x = g.constant_ref(&Tensor::full(n, d, 0.5));
+        let mut h = x;
+        for &w in &ws {
+            let z = g.matmul(h, binds.var(w));
+            h = g.tanh(z);
+        }
+        let loss = g.mse_loss(h, &Tensor::zeros(n, d));
+        // What the tape held at its end before the sweep released anything:
+        // every node's value and every gradient, from the shapes above.
+        let f32s = |rows: usize, cols: usize| (rows * cols * 4) as u64;
+        let values = layers as u64 * f32s(d, d) // weights
+            + f32s(n, d) // input
+            + 2 * layers as u64 * f32s(n, d) // matmul and tanh outputs
+            + f32s(1, 1); // loss
+        let grads = layers as u64 * f32s(d, d) + 2 * layers as u64 * f32s(n, d) + f32s(1, 1);
+        g.backward(loss);
+        ps.zero_grads();
+        ps.harvest(&g, &binds);
+        drop(g);
+        Adam::new(1e-3).step(&mut ps);
+        let peak = arena.stats().peak_bytes;
+        assert!(peak > 0);
+        assert!(
+            peak < values + grads,
+            "epoch peak {peak} B is not below the unreleased tape's {} B",
+            values + grads
+        );
     }
 
     #[test]

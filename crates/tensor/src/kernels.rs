@@ -72,7 +72,9 @@
 //! Both paths split over output rows via
 //! [`parallel::for_each_row_block_mut`]; each worker owns a contiguous row
 //! range and per-element accumulation order is independent of the split, so
-//! results are bitwise identical at every thread count.
+//! results are bitwise identical at every thread count. Each path reports
+//! its rows' work to the planner at its own rate (`row_work`), so products
+//! that finish in microseconds stay serial.
 //!
 //! # Allocation
 //!
@@ -176,6 +178,25 @@ pub fn matmul_nt_into(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize,
     }
 }
 
+/// Work per output row to hand the parallel planner, for a row of `2·k·m`
+/// flops on the naive loop (`tier` = `None`) or on a tiled tier. The
+/// planner's split threshold assumes about 1 flop/ns, and every matmul path
+/// retires far more. Measured on a 2-core AVX-512 Xeon over products from
+/// 64×32×16 to 256³: naive 7–15 flops/ns, the scalar tile 13–22, AVX2
+/// 36–55, AVX-512 42–80. Each path's flops are divided by a power of two
+/// near its rate, so a product that finishes in microseconds stays serial
+/// instead of paying a thread spawn. The split is output-partitioned, so
+/// this moves no bits.
+fn row_work(k: usize, m: usize, tier: Option<Tier>) -> usize {
+    let flops_per_ns = match tier {
+        None => 8,
+        Some(Tier::Scalar) => 16,
+        Some(Tier::Avx2) => 32,
+        Some(Tier::Avx512) => 64,
+    };
+    (2 * k * m / flops_per_ns).max(1)
+}
+
 /// The shape-only naive/tiled dispatch rule shared by every product.
 fn takes_tiled_path(n: usize, k: usize, m: usize) -> bool {
     n.saturating_mul(k).saturating_mul(m) >= TILED_MIN_MACS && m >= TILED_MIN_COLS && n >= MR
@@ -194,7 +215,7 @@ pub fn matmul_naive_into(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usi
     // Output rows are independent, so the parallel split changes nothing
     // about the per-element accumulation order: bitwise identical to the
     // serial loop for any worker count.
-    parallel::for_each_row_block_mut(out, m, 2 * k * m, |i0, block| {
+    parallel::for_each_row_block_mut(out, m, row_work(k, m, None), |i0, block| {
         for (bi, o_row) in block.chunks_mut(m).enumerate() {
             let i = i0 + bi;
             let a_row = &a[i * k..(i + 1) * k];
@@ -219,7 +240,7 @@ pub fn matmul_naive_into(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usi
 /// loop: the same operation sequence, so the same bits.
 fn matmul_tn_naive_into(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
     out.fill(0.0);
-    parallel::for_each_row_block_mut(out, m, 2 * k * m, |i0, block| {
+    parallel::for_each_row_block_mut(out, m, row_work(k, m, None), |i0, block| {
         let rows = block.len() / m;
         for p in 0..k {
             let a_seg = &a[p * n + i0..p * n + i0 + rows];
@@ -291,7 +312,8 @@ fn tiled_into(
         let pb: &[f32] = &pb;
         // Row-partitioned like the naive path; each worker handles an
         // arbitrary contiguous row range, so the split cannot affect bits.
-        parallel::for_each_row_block_mut(out, m, 2 * k * m, |i0, block| {
+        let work = row_work(k, m, Some(simd::tier()));
+        parallel::for_each_row_block_mut(out, m, work, |i0, block| {
             tiled_rows(a, alayout, pb, block, i0, n, k, m);
         });
     });

@@ -50,7 +50,9 @@ static FANOUT_WIDTH: AtomicUsize = AtomicUsize::new(0);
 /// A scoped-thread spawn + join costs on the order of 10–100 µs; at
 /// roughly 1 flop/ns that bounds useful splits to ≳256k flops (~100 µs)
 /// each — below that the spawn overhead shows up as the sub-1.0 speedups
-/// `BENCH_parallel.json` used to record for the fused Adam step.
+/// `BENCH_parallel.json` used to record for the fused Adam step. Callers
+/// whose kernels run much faster than 1 flop/ns (the matmul paths) scale
+/// their per-unit estimate down to this unit (`kernels::row_work`).
 const MIN_FLOPS_PER_WORKER: usize = 1 << 18;
 
 /// Worker chunk boundaries are rounded up to this many f32 (one 64-byte

@@ -138,8 +138,8 @@ fn run(c: &Case, fused: bool, k_reused: bool) -> Vec<Vec<u32>> {
         let extra = g.sum_all(kk);
         loss = g.add(loss, extra);
     }
-    g.backward(loss);
     let mut res = vec![bits(g.value(out))];
+    g.backward(loss);
     for v in [k, q, w] {
         res.push(bits(g.grad(v).expect("every input receives a gradient")));
     }

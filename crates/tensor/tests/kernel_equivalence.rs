@@ -321,8 +321,8 @@ fn graph_matmul_bits_invariant_to_arena_and_threads() {
         let h = g.matmul(x, w);
         let y = g.tanh(h);
         let loss = g.mse_loss(y, &target);
-        g.backward(loss);
         let mut bits: Vec<u32> = g.value(y).data().iter().map(|v| v.to_bits()).collect();
+        g.backward(loss);
         for var in [x, w] {
             bits.extend(
                 g.grad(var)

@@ -11,7 +11,7 @@ use rand::{Rng, SeedableRng};
 use siterec_tensor::optim::{Adam, Optimizer};
 use siterec_tensor::parallel::ThreadGuard;
 use siterec_tensor::simd::SimdGuard;
-use siterec_tensor::{check_input_grad, Graph, Index, Init, ParamStore, Tensor};
+use siterec_tensor::{check_input_grad, kernels, Graph, Index, Init, ParamStore, Tensor};
 use std::sync::Mutex;
 
 // The kernel thread count is process-global; tests that flip it must not
@@ -94,14 +94,36 @@ fn attention_pipeline_bitwise_equal_forward_and_backward() {
         let pooled = g.segment_sum(weighted, &dst);
         let act = g.tanh(pooled);
         let loss = g.mse_loss(act, &target);
+        // Read forward values before the sweep, which releases them.
+        let (pooled, att) = (g.value(pooled).clone(), g.value(att).clone());
         g.backward(loss);
-        vec![
-            g.value(pooled).clone(),
-            g.value(att).clone(),
-            g.grad(emb).expect("emb grad").clone(),
-        ]
+        vec![pooled, att, g.grad(emb).expect("emb grad").clone()]
     };
     assert_bitwise_equal("attention forward+backward", run);
+}
+
+#[test]
+fn matmul_above_the_tier_scaled_split_threshold_bitwise_equal() {
+    // The planner divides a matmul row's flops by its tier's rate, so only
+    // a product this large splits on a vector tier (given >= 2 cores). All
+    // three operand layouts must keep their bits across the split.
+    let mut rng = StdRng::seed_from_u64(29);
+    let (n, k, m) = (1031, 193, 129);
+    let a = random_tensor(&mut rng, n, k);
+    let b = random_tensor(&mut rng, k, m);
+    let (at, bt) = (a.transpose(), b.transpose());
+    let product = |f: &dyn Fn(&mut [f32])| {
+        let mut out = Tensor::zeros(n, m);
+        f(out.data_mut());
+        vec![out]
+    };
+    assert_bitwise_equal("matmul a·b", || vec![a.matmul(&b)]);
+    assert_bitwise_equal("matmul aᵀ·b", || {
+        product(&|o| kernels::matmul_tn_into(at.data(), b.data(), o, n, k, m))
+    });
+    assert_bitwise_equal("matmul a·bᵀ", || {
+        product(&|o| kernels::matmul_nt_into(a.data(), bt.data(), o, n, k, m))
+    });
 }
 
 #[test]
@@ -118,9 +140,10 @@ fn matmul_chain_backward_bitwise_equal() {
         let y = g.relu(h);
         let sm = g.softmax_rows(y);
         let loss = g.mse_loss(sm, &target);
+        let sm = g.value(sm).clone();
         g.backward(loss);
         vec![
-            g.value(sm).clone(),
+            sm,
             g.grad(x).expect("x grad").clone(),
             g.grad(w).expect("w grad").clone(),
         ]
