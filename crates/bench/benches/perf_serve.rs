@@ -23,44 +23,19 @@
 use siterec_bench::context::{is_smoke, write_artifact};
 use siterec_geo::Period;
 use siterec_obs::Histogram;
+use siterec_serve::client::{self, Request};
 use siterec_serve::server::{start, ServeConfig};
 use siterec_serve::{EmbeddingStore, Query, Recipe};
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// One `Connection: close` scoring exchange; panics on non-200.
-fn post(addr: &str, path: &str, body: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    write!(
-        stream,
-        "POST {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).unwrap();
-    let status: u16 = raw.split_whitespace().nth(1).unwrap().parse().unwrap();
-    assert_eq!(status, 200, "bench request failed: {raw}");
-    raw.split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default()
-}
-
-fn query_line(q: &Query) -> String {
-    let p = match q.period {
-        Some(p) => format!("\"{}\"", p.label()),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"region\":{},\"type\":{},\"period\":{p}}}\n",
-        q.region, q.ty
-    )
+fn post(addr: &str, body: &str) -> String {
+    let req = Request::new("POST", "/v1/score", body);
+    let resp = client::send(addr, &req, Duration::from_secs(30)).expect("bench request");
+    assert_eq!(resp.status, 200, "bench request failed: {}", resp.body);
+    resp.body
 }
 
 /// Deterministic query stream cycling regions, types and period selectors.
@@ -100,7 +75,7 @@ fn drive(addr: &str, name: &'static str, bodies: &[String], clients: usize, qpr:
                     break;
                 }
                 let t = Instant::now();
-                let body = post(addr, "/v1/score", &bodies[i]);
+                let body = post(addr, &bodies[i]);
                 let ns = t.elapsed().as_nanos() as f64;
                 assert_eq!(body.lines().count(), qpr, "short response");
                 hist.lock().unwrap().record(ns);
@@ -146,18 +121,18 @@ fn run() {
     let addr = handle.addr().to_string();
 
     let stream = query_stream(n_regions, n_types, requests);
-    let singles: Vec<String> = stream.iter().map(query_line).collect();
+    let singles: Vec<String> = stream.iter().map(|q| client::score_body(&[*q])).collect();
     let batch_size = 32usize;
     let batches: Vec<String> = stream
         .chunks(batch_size)
         .filter(|c| c.len() == batch_size) // full batches only
-        .map(|chunk| chunk.iter().map(query_line).collect())
+        .map(client::score_body)
         .collect();
 
     // Warm-up (connect path, first-touch allocations), then the phases. The
     // cold phase runs first so the cache is empty for it; the cached phase
     // replays the identical sweep the cold phase just filled the cache with.
-    let _ = post(&addr, "/v1/score", &singles[0]);
+    let _ = post(&addr, &singles[0]);
     let phases = [
         drive(&addr, "single_cold", &singles, clients, 1),
         drive(&addr, "single_cached", &singles, clients, 1),

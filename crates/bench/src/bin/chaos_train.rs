@@ -206,15 +206,6 @@ fn spawn_child(
     run
 }
 
-/// SplitMix64 — seeded kill schedule, independent of all model RNG streams.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 fn final_checkpoint_bytes(dir: &Path, epochs: usize) -> Vec<u8> {
     let path = dir.join(checkpoint::file_name(epochs));
     std::fs::read(&path)
@@ -274,7 +265,9 @@ fn orchestrate(a: &Args) {
 
         // 2. Chaos sequence: seeded SIGKILLs...
         let mut kill_epochs: Vec<usize> = (0..a.kills)
-            .map(|_| 1 + (splitmix(&mut rng) as usize) % (a.epochs.saturating_sub(3).max(1)))
+            .map(|_| {
+                1 + (obs::splitmix64_next(&mut rng) as usize) % (a.epochs.saturating_sub(3).max(1))
+            })
             .collect();
         kill_epochs.sort_unstable();
         for (i, &k) in kill_epochs.iter().enumerate() {

@@ -69,6 +69,7 @@ pub use recorder::{
     Snapshot, SpanAgg, SpanGuard, Value, HIST_BUCKETS,
 };
 pub use retry::{retry_io, RetryCfg};
+pub use trace::{splitmix64, splitmix64_next};
 
 /// Open a hierarchical span; returns a guard that records the span (name,
 /// path, fields, duration) when dropped. All arguments are evaluated only

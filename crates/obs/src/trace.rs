@@ -66,13 +66,26 @@ fn sampler() -> &'static Sampler {
     })
 }
 
-/// splitmix64: the standard 64-bit finalizer, used to spread the sequential
-/// ID counter into well-mixed hex identifiers.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
+/// The SplitMix64 increment (the golden-ratio gamma).
+const SPLITMIX_GAMMA: u64 = 0x9E3779B97F4A7C15;
+
+/// splitmix64: the standard 64-bit finalizer of `z + γ`. It spreads the
+/// sequential ID counter into well-mixed hex identifiers, and it is the
+/// repo's one seeded stream for deterministic schedules and jitter (see
+/// [`splitmix64_next`]).
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(SPLITMIX_GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
     z ^ (z >> 31)
+}
+
+/// The next draw of the SplitMix64 stream whose state is `state`, advancing
+/// it by γ: the same sequence as the stateful `{ s += γ; mix(s) }` form.
+pub fn splitmix64_next(state: &mut u64) -> u64 {
+    let r = splitmix64(*state);
+    *state = state.wrapping_add(SPLITMIX_GAMMA);
+    r
 }
 
 /// Should this request be traced? Deterministic: ticks the seeded counter
@@ -224,6 +237,20 @@ pub fn chrome_trace_current() -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn splitmix64_next_is_the_reference_stream() {
+        // The first draws of SplitMix64 seeded with 0, as in the reference
+        // implementation; every seeded schedule in the repo draws this way.
+        let mut s = 0;
+        let draws = [0; 3].map(|_| splitmix64_next(&mut s));
+        assert_eq!(
+            draws,
+            [0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f]
+        );
+        assert_eq!(s, SPLITMIX_GAMMA.wrapping_mul(3));
+        assert_eq!(splitmix64(SPLITMIX_GAMMA), draws[1]);
+    }
 
     #[test]
     fn request_ids_are_unique_and_deterministic_in_form() {

@@ -27,10 +27,10 @@
 
 use siterec_geo::Period;
 use siterec_obs as obs;
-use siterec_serve::Recipe;
+use siterec_serve::client::{self, Request};
+use siterec_serve::{Query, Recipe};
 use siterec_tensor::checkpoint::CheckpointPolicy;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
@@ -77,27 +77,11 @@ fn serve_binary() -> PathBuf {
     path
 }
 
-/// One `Connection: close` HTTP exchange; returns `(status, body)`.
-fn http(addr: &str, method: &str, path: &str, body: &str) -> std::io::Result<(u16, String)> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw)?;
-    let status = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    Ok((status, body))
+/// One `Connection: close` exchange; returns `(status, body)`.
+fn http(addr: &str, method: &str, path: &str, body: &str) -> Result<(u16, String), String> {
+    let req = Request::new(method, path, body);
+    let r = client::send(addr, &req, Duration::from_secs(30))?;
+    Ok((r.status, r.body))
 }
 
 /// Spawn `siterec-serve run` and wait for its `listening on <addr>` line.
@@ -137,25 +121,6 @@ fn spawn_server(recipe: &str, ckpt: &Path, journal: Option<&Path>) -> (Child, St
     (child, addr)
 }
 
-fn score_query(region: usize, ty: usize, period: Option<Period>) -> String {
-    let p = match period {
-        Some(p) => format!("\"{}\"", p.label()),
-        None => "null".to_string(),
-    };
-    format!("{{\"region\":{region},\"type\":{ty},\"period\":{p}}}\n")
-}
-
-/// Extract the score bits from a one-line `/v1/score` JSONL response.
-fn response_bits(body: &str) -> u32 {
-    let line = body.lines().next().expect("one response line");
-    let v = obs::json::parse(line).expect("valid response JSON");
-    let score = v
-        .get("score")
-        .and_then(|s| s.as_num())
-        .expect("score field");
-    (score as f32).to_bits()
-}
-
 fn main() {
     let args = parse_args();
     let _ = std::fs::remove_dir_all(&args.dir);
@@ -186,31 +151,32 @@ fn main() {
         let store = siterec_serve::EmbeddingStore::new(reference.export_serving());
         store.n_regions()
     };
-    let sweep: Vec<(usize, usize, Option<Period>)> = (0..n_regions)
-        .map(|region| {
-            let period = match region % 6 {
+    let sweep: Vec<Query> = (0..n_regions)
+        .map(|region| Query {
+            region,
+            ty: region % 3,
+            period: match region % 6 {
                 5 => None,
                 i => Some(Period::from_index(i)),
-            };
-            (region, region % 3, period)
+            },
         })
         .collect();
     let offline: Vec<u32> = sweep
         .iter()
-        .map(|&(r, t, p)| reference.predict_for(&[(r, t)], p)[0].to_bits())
+        .map(|q| reference.predict_for(&[(q.region, q.ty)], q.period)[0].to_bits())
         .collect();
 
     // 3. First server: answer the first half of the sweep.
     let (mut child1, addr1) = spawn_server(&recipe_str, &ckpt, None);
     let half = sweep.len() / 2;
-    for (i, &(r, t, p)) in sweep[..half].iter().enumerate() {
-        let (status, body) =
-            http(&addr1, "POST", "/v1/score", &score_query(r, t, p)).expect("pre-kill request");
+    for (i, q) in sweep[..half].iter().enumerate() {
+        let (status, body) = http(&addr1, "POST", "/v1/score", &client::score_body(&[*q]))
+            .expect("pre-kill request");
         assert_eq!(status, 200, "pre-kill request {i} failed: {body}");
         assert_eq!(
-            response_bits(&body),
-            offline[i],
-            "pre-kill score {i} (region {r}, type {t}, period {p:?}) diverged from offline"
+            client::score_bits(&body).expect("score response"),
+            [offline[i]],
+            "pre-kill score {i} ({q:?}) diverged from offline"
         );
     }
     println!("chaos_serve: {half} pre-kill scores bit-identical to offline");
@@ -228,14 +194,14 @@ fn main() {
     //    bit-identical to the offline reference.
     let journal = args.dir.join("serve_journal.jsonl");
     let (mut child2, addr2) = spawn_server(&recipe_str, &ckpt, Some(&journal));
-    for (i, &(r, t, p)) in sweep.iter().enumerate() {
-        let (status, body) =
-            http(&addr2, "POST", "/v1/score", &score_query(r, t, p)).expect("post-resume request");
+    for (i, q) in sweep.iter().enumerate() {
+        let body = client::score_body(&[*q]);
+        let (status, body) = http(&addr2, "POST", "/v1/score", &body).expect("post-resume request");
         assert_eq!(status, 200, "post-resume request {i} failed: {body}");
         assert_eq!(
-            response_bits(&body),
-            offline[i],
-            "post-resume score {i} (region {r}, type {t}, period {p:?}) diverged from offline"
+            client::score_bits(&body).expect("score response"),
+            [offline[i]],
+            "post-resume score {i} ({q:?}) diverged from offline"
         );
     }
     println!(

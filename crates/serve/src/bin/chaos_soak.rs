@@ -38,11 +38,10 @@
 use siterec_core::O2SiteRec;
 use siterec_geo::Period;
 use siterec_obs as obs;
-use siterec_serve::{start, EmbeddingStore, Recipe, Reloader, ServeConfig};
+use siterec_serve::client::{self, Request, Retry};
+use siterec_serve::{start, EmbeddingStore, Query, Recipe, Reloader, ServeConfig};
 use siterec_tensor::checkpoint::CheckpointPolicy;
 use siterec_tensor::parallel::ParallelConfig;
-use std::io::{Read, Write as _};
-use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -116,14 +115,6 @@ fn parse_args() -> Args {
     a
 }
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// A seeded schedule: 4 distinct seams from the menu; the first entry
 /// always fires on hit 1 (so every schedule injects at least one fault),
 /// the rest on hit 1 or 2. `serve.reload=err@1` is appended when the draw
@@ -133,14 +124,14 @@ fn schedule_for(seed: u64) -> String {
     let mut names = std::collections::BTreeSet::new();
     let mut entries = Vec::new();
     while entries.len() < 4 {
-        let (name, mode) = MENU[(splitmix(&mut rng) % MENU.len() as u64) as usize];
+        let (name, mode) = MENU[(obs::splitmix64_next(&mut rng) % MENU.len() as u64) as usize];
         if !names.insert(name) {
             continue;
         }
         let hit = if entries.is_empty() {
             1
         } else {
-            1 + splitmix(&mut rng) % 2
+            1 + obs::splitmix64_next(&mut rng) % 2
         };
         entries.push(format!("{name}={mode}@{hit}"));
     }
@@ -159,69 +150,31 @@ fn build_model(recipe: &Recipe, epochs: usize, tensor_threads: usize) -> O2SiteR
     O2SiteRec::new(&data, &task, cfg)
 }
 
-/// One `Connection: close` HTTP exchange; returns `(status, body)`.
-fn http(addr: &str, method: &str, path: &str, body: &str) -> std::io::Result<(u16, String)> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw)?;
-    let status = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    Ok((status, body))
+const TIMEOUT: Duration = Duration::from_secs(30);
+
+/// One `Connection: close` exchange; returns `(status, body)`.
+fn http(addr: &str, method: &str, path: &str, body: &str) -> Result<(u16, String), String> {
+    let r = client::send(addr, &Request::new(method, path, body), TIMEOUT)?;
+    Ok((r.status, r.body))
 }
 
-/// Client-side bounded retry: 503 (shed) and 504 (scorer drop/stall) are
-/// the server telling us to try again; everything else is final.
+/// Client-side bounded retry: 503 (shed), 504 (scorer drop/stall) and 429
+/// are the server telling us to try again; everything else is final.
+const RETRY: Retry = Retry {
+    attempts: 8,
+    first: Duration::from_millis(10),
+    cap: Duration::from_millis(200),
+};
+
 fn http_retry(addr: &str, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut delay = Duration::from_millis(10);
-    let mut last = (0u16, String::new());
-    for _ in 0..8 {
-        match http(addr, method, path, body) {
-            Ok((status, b)) if status != 503 && status != 504 => return (status, b),
-            Ok(got) => last = got,
-            Err(e) => last = (0, e.to_string()),
-        }
-        std::thread::sleep(delay);
-        delay = (delay * 2).min(Duration::from_millis(200));
-    }
-    panic!("request {method} {path} did not succeed within the retry budget (last: {last:?})");
+    let req = Request::new(method, path, body);
+    let r = client::send_with_retry(addr, &req, TIMEOUT, RETRY)
+        .unwrap_or_else(|e| panic!("request {method} {path} did not succeed: {e}"));
+    (r.status, r.body)
 }
 
-fn score_query(region: usize, ty: usize, period: Option<Period>) -> String {
-    let p = match period {
-        Some(p) => format!("\"{}\"", p.label()),
-        None => "null".to_string(),
-    };
-    format!("{{\"region\":{region},\"type\":{ty},\"period\":{p}}}\n")
-}
-
-fn response_bits(body: &str) -> u32 {
-    let line = body.lines().next().expect("one response line");
-    let v = obs::json::parse(line).expect("valid response JSON");
-    let score = v
-        .get("score")
-        .and_then(|s| s.as_num())
-        .expect("score field");
-    (score as f32).to_bits()
-}
-
-fn json_num(body: &str, field: &str) -> Option<f64> {
-    obs::json::parse(body.trim())
-        .ok()?
-        .get(field)
-        .and_then(|v| v.as_num())
+fn score_bits(body: &str) -> Vec<u32> {
+    client::score_bits(body).expect("score response")
 }
 
 struct Outcome {
@@ -272,19 +225,20 @@ fn run_lifecycle(
     // Offline reference bits for this run (bit-identical across runs is
     // asserted by the caller against the fault-free lifecycle).
     let store = EmbeddingStore::new(model.export_serving());
-    let sweep: Vec<(usize, usize, Option<Period>)> = (0..store.n_regions())
+    let sweep: Vec<Query> = (0..store.n_regions())
         .take(24)
-        .map(|region| {
-            let period = match region % 6 {
+        .map(|region| Query {
+            region,
+            ty: region % 3,
+            period: match region % 6 {
                 5 => None,
                 i => Some(Period::from_index(i)),
-            };
-            (region, region % 3, period)
+            },
         })
         .collect();
     let offline: Vec<u32> = sweep
         .iter()
-        .map(|&(r, t, p)| model.predict_for(&[(r, t)], p)[0].to_bits())
+        .map(|q| model.predict_for(&[(q.region, q.ty)], q.period)[0].to_bits())
         .collect();
 
     // 2. Image roundtrip: heal write faults by rewriting, read faults by
@@ -338,15 +292,16 @@ fn run_lifecycle(
     let handle = start(store, cfg, Some(reloader)).expect("bind in-process server");
     let addr = handle.addr().to_string();
     let mut bits = Vec::with_capacity(sweep.len());
-    for (i, &(r, t, p)) in sweep.iter().enumerate() {
-        let (status, body) = http_retry(&addr, "POST", "/v1/score", &score_query(r, t, p));
+    for (i, q) in sweep.iter().enumerate() {
+        let (status, body) = http_retry(&addr, "POST", "/v1/score", &client::score_body(&[*q]));
         assert_eq!(status, 200, "{tag}: sweep request {i} failed: {body}");
-        let got = response_bits(&body);
+        let got = score_bits(&body);
         assert_eq!(
-            got, offline[i],
-            "{tag}: served score {i} (region {r}, type {t}, period {p:?}) diverged from offline"
+            got,
+            [offline[i]],
+            "{tag}: served score {i} ({q:?}) diverged from offline"
         );
-        bits.push(got);
+        bits.push(got[0]);
     }
 
     // 4. Reload dance: a failed reload must degrade (old store still
@@ -360,8 +315,9 @@ fn run_lifecycle(
         let (hst, health) = http(&addr, "GET", "/healthz", "").expect("healthz request");
         assert_eq!(hst, 200, "{tag}: healthz must always answer");
         if st == 200 {
-            let epochs_now = json_num(&health, "trained_epochs").unwrap_or(-1.0) as usize;
-            if health.contains("\"status\":\"ok\"") && epochs_now == epochs {
+            let v = obs::json::parse(health.trim()).ok();
+            let epochs_now = v.and_then(|v| v.get("trained_epochs")?.as_num());
+            if health.contains("\"status\":\"ok\"") && epochs_now == Some(epochs as f64) {
                 recovered = true;
                 break;
             }
@@ -375,16 +331,11 @@ fn run_lifecycle(
                 "{tag}: failed reload did not degrade /healthz: {health}"
             );
             // Degraded never means down: the old store still answers.
-            let (s, b) = http_retry(
-                &addr,
-                "POST",
-                "/v1/score",
-                &score_query(sweep[0].0, sweep[0].1, sweep[0].2),
-            );
+            let (s, b) = http_retry(&addr, "POST", "/v1/score", &client::score_body(&sweep[..1]));
             assert_eq!(s, 200, "{tag}: degraded server stopped serving: {b}");
             assert_eq!(
-                response_bits(&b),
-                offline[0],
+                score_bits(&b),
+                [offline[0]],
                 "{tag}: degraded score diverged"
             );
             degraded_seen = true;
@@ -397,12 +348,12 @@ fn run_lifecycle(
 
     // Post-recovery re-check: the reloaded store (cache cleared) must
     // reproduce the same bits.
-    for (i, &(r, t, p)) in sweep.iter().take(8).enumerate() {
-        let (status, body) = http_retry(&addr, "POST", "/v1/score", &score_query(r, t, p));
+    for (i, q) in sweep.iter().take(8).enumerate() {
+        let (status, body) = http_retry(&addr, "POST", "/v1/score", &client::score_body(&[*q]));
         assert_eq!(status, 200, "{tag}: post-reload request {i} failed: {body}");
         assert_eq!(
-            response_bits(&body),
-            offline[i],
+            score_bits(&body),
+            [offline[i]],
             "{tag}: post-reload score {i} diverged"
         );
     }

@@ -38,10 +38,10 @@
 
 use siterec_geo::Period;
 use siterec_obs as obs;
-use siterec_serve::{start, EmbeddingStore, Recipe, ServeConfig};
+use siterec_serve::client::{self, Request};
+use siterec_serve::{start, EmbeddingStore, Query, Recipe, ServeConfig};
 use siterec_tensor::checkpoint::CheckpointPolicy;
-use std::io::{BufRead, BufReader, Read, Write as _};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -101,58 +101,12 @@ fn parse_args() -> Args {
     a
 }
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// One `Connection: close` HTTP exchange with tight timeouts; returns
-/// `(status, body)`.
-fn http(addr: &str, method: &str, path: &str, body: &str) -> std::io::Result<(u16, String)> {
-    let sock = addr
-        .parse()
-        .map_err(|e| std::io::Error::other(format!("bad addr {addr}: {e}")))?;
-    let mut stream = TcpStream::connect_timeout(&sock, Duration::from_secs(2))?;
-    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(10)))?;
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw)?;
-    let status = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    Ok((status, body))
-}
-
-fn score_query(region: usize, ty: usize, period: Option<Period>) -> String {
-    let p = match period {
-        Some(p) => format!("\"{}\"", p.label()),
-        None => "null".to_string(),
-    };
-    format!("{{\"region\":{region},\"type\":{ty},\"period\":{p}}}\n")
-}
-
-fn response_bits(body: &str) -> u32 {
-    let line = body.lines().next().expect("one response line");
-    let v = obs::json::parse(line).expect("valid response JSON");
-    let score = v
-        .get("score")
-        .and_then(|s| s.as_num())
-        .expect("score field");
-    (score as f32).to_bits()
+/// One `Connection: close` exchange, bounded so a hung replica cannot stall
+/// the drill; returns `(status, body)`.
+fn http(addr: &str, method: &str, path: &str, body: &str) -> Result<(u16, String), String> {
+    let req = Request::new(method, path, body);
+    let r = client::send(addr, &req, Duration::from_secs(10))?;
+    Ok((r.status, r.body))
 }
 
 /// Snapshot of one replica as reported by the supervisor's `/healthz`.
@@ -312,7 +266,7 @@ fn spawn_supervisor(
 /// while replicas are being killed, hung, and rolled.
 fn traffic_loop(
     sup_addr: String,
-    sweep: Vec<(usize, usize, Option<Period>)>,
+    sweep: Vec<Query>,
     offline: Vec<u32>,
     stop: Arc<AtomicBool>,
     done: Arc<AtomicU64>,
@@ -320,9 +274,9 @@ fn traffic_loop(
     let mut i = 0usize;
     let mut rr = 0usize;
     while !stop.load(Ordering::SeqCst) {
-        let (r, t, p) = sweep[i % sweep.len()];
+        let q = sweep[i % sweep.len()];
         let want = offline[i % sweep.len()];
-        let body = score_query(r, t, p);
+        let body = client::score_body(&[q]);
         let deadline = Instant::now() + Duration::from_secs(60);
         let mut answered = false;
         while Instant::now() < deadline {
@@ -345,9 +299,9 @@ fn traffic_loop(
             match http(target, "POST", "/v1/score", &body) {
                 Ok((200, resp)) => {
                     assert_eq!(
-                        response_bits(&resp),
-                        want,
-                        "request {i} (region {r}, type {t}, period {p:?}) answered wrong bits via {target}"
+                        client::score_bits(&resp).expect("score response"),
+                        [want],
+                        "request {i} ({q:?}) answered wrong bits via {target}"
                     );
                     answered = true;
                     break;
@@ -368,11 +322,7 @@ fn traffic_loop(
 
 /// Serve the sweep from an in-process server at `workers` and return the
 /// answered bits (the undisturbed reference).
-fn undisturbed_bits(
-    store: EmbeddingStore,
-    workers: usize,
-    sweep: &[(usize, usize, Option<Period>)],
-) -> Vec<u32> {
+fn undisturbed_bits(store: EmbeddingStore, workers: usize, sweep: &[Query]) -> Vec<u32> {
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         workers,
@@ -388,11 +338,11 @@ fn undisturbed_bits(
     let addr = handle.addr().to_string();
     let bits = sweep
         .iter()
-        .map(|&(r, t, p)| {
-            let (status, body) = http(&addr, "POST", "/v1/score", &score_query(r, t, p))
+        .flat_map(|q| {
+            let (status, body) = http(&addr, "POST", "/v1/score", &client::score_body(&[*q]))
                 .expect("undisturbed request");
             assert_eq!(status, 200, "undisturbed server refused: {body}");
-            response_bits(&body)
+            client::score_bits(&body).expect("score response")
         })
         .collect();
     handle.shutdown();
@@ -423,19 +373,20 @@ fn main() {
         .try_train_resumable(&CheckpointPolicy::new(&ckpt))
         .expect("fault-free training");
     let store = EmbeddingStore::new(model.export_serving());
-    let sweep: Vec<(usize, usize, Option<Period>)> = (0..store.n_regions())
+    let sweep: Vec<Query> = (0..store.n_regions())
         .take(18)
-        .map(|region| {
-            let period = match region % 6 {
+        .map(|region| Query {
+            region,
+            ty: region % 3,
+            period: match region % 6 {
                 5 => None,
                 i => Some(Period::from_index(i)),
-            };
-            (region, region % 3, period)
+            },
         })
         .collect();
     let offline: Vec<u32> = sweep
         .iter()
-        .map(|&(r, t, p)| model.predict_for(&[(r, t)], p)[0].to_bits())
+        .map(|q| model.predict_for(&[(q.region, q.ty)], q.period)[0].to_bits())
         .collect();
     println!(
         "chaos_supervise: recipe {recipe}, {} epochs, {} sweep queries",
@@ -483,9 +434,9 @@ fn main() {
     for k in 0..args.events {
         std::thread::sleep(Duration::from_millis(300));
         let view = fetch_status(&sup_addr).expect("supervisor status");
-        match splitmix(&mut rng) % 3 {
+        match obs::splitmix64_next(&mut rng) % 3 {
             0 => {
-                let r = (splitmix(&mut rng) % args.replicas as u64) as usize;
+                let r = (obs::splitmix64_next(&mut rng) % args.replicas as u64) as usize;
                 let (pid, restarts) = (view.replicas[r].pid, view.replicas[r].restarts);
                 println!("chaos_supervise: event {k}: KILL replica {r} (pid {pid})");
                 send_signal(pid, SIGKILL);
@@ -498,7 +449,7 @@ fn main() {
                 );
             }
             1 => {
-                let r = (splitmix(&mut rng) % args.replicas as u64) as usize;
+                let r = (obs::splitmix64_next(&mut rng) % args.replicas as u64) as usize;
                 let (pid, restarts) = (view.replicas[r].pid, view.replicas[r].restarts);
                 println!("chaos_supervise: event {k}: HANG replica {r} (pid {pid})");
                 send_signal(pid, SIGSTOP);

@@ -34,6 +34,7 @@
 #![deny(missing_docs)]
 
 pub mod cache;
+pub mod client;
 pub mod http;
 pub mod recipe;
 pub mod server;

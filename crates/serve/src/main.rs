@@ -30,13 +30,14 @@
 //! `--max-requests`), and `supervise` writes its `supervisor_event`
 //! history the same way.
 
+use siterec_geo::Period;
 use siterec_obs as obs;
+use siterec_serve::client::{self, Request, Retry};
 use siterec_serve::server::{start, ServeConfig};
 use siterec_serve::store::EmbeddingStore;
-use siterec_serve::{supervise, Recipe, SuperviseConfig};
+use siterec_serve::{supervise, Query, Recipe, SuperviseConfig};
 use siterec_tensor::checkpoint::CheckpointPolicy;
-use std::io::{Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -334,7 +335,15 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     // mode the supervision tests drive.
     let timeout =
         Duration::from_millis(take_parsed::<u64>(&mut args, "--timeout-ms")?.unwrap_or(30_000));
-    let period = take_flag(&mut args, "--period")?;
+    let period = match take_flag(&mut args, "--period")? {
+        Some(label) => Some(
+            Period::ALL
+                .into_iter()
+                .find(|p| p.label() == label)
+                .ok_or_else(|| format!("unknown --period {label:?}"))?,
+        ),
+        None => None,
+    };
     let region: Option<usize> = take_parsed(&mut args, "--region")?;
     let ty: Option<usize> = take_parsed(&mut args, "--type")?;
     let topk: Option<usize> = take_parsed(&mut args, "--topk")?;
@@ -345,10 +354,10 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     let quit = take_bare(&mut args, "--quit");
     reject_leftovers(&args)?;
 
-    let period_json = match &period {
-        Some(label) => {
+    let period_json = match period {
+        Some(p) => {
             let mut s = String::new();
-            siterec_obs::json::write_escaped(&mut s, label);
+            siterec_obs::json::write_escaped(&mut s, p.label());
             s
         }
         None => "null".to_string(),
@@ -370,12 +379,9 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
             "/v1/recommend",
             format!("{{\"type\":{t},\"k\":{k},\"period\":{period_json}}}\n"),
         )
-    } else if let (Some(r), Some(t)) = (region, ty) {
-        (
-            "POST",
-            "/v1/score",
-            format!("{{\"region\":{r},\"type\":{t},\"period\":{period_json}}}\n"),
-        )
+    } else if let (Some(region), Some(ty)) = (region, ty) {
+        let q = Query { region, ty, period };
+        ("POST", "/v1/score", client::score_body(&[q]))
     } else {
         return Err(
             "query needs one of: --region R --type T | --topk K --type T | --healthz | \
@@ -384,15 +390,24 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         );
     };
 
-    let (status, response, request_id) =
-        request_with_retry(&addr, method, path, &body, retries, timeout)?;
-    print!("{response}");
+    // Transport errors and 503/504/429 answers are retried `--retry` more
+    // times, 100 ms doubling to a 2 s cap, paced by the server's
+    // `Retry-After`.
+    let retry = Retry {
+        attempts: retries + 1,
+        first: Duration::from_millis(100),
+        cap: Duration::from_secs(2),
+    };
+    let req = Request::new(method, path, &body);
+    let resp = client::send_with_retry(&addr, &req, timeout, retry)?;
+    print!("{}", resp.body);
+    let status = resp.status;
     if status == 200 {
         Ok(())
     } else {
         // Surface the server-assigned request id so a failing request can be
         // looked up in the run journal (`siterec-ops query --type serve_trace`).
-        match request_id {
+        match resp.request_id() {
             Some(id) => Err(format!("server answered {status} (request id {id})")),
             None => Err(format!("server answered {status}")),
         }
@@ -407,121 +422,4 @@ fn take_bare(args: &mut Vec<String>, flag: &str) -> bool {
         }
         None => false,
     }
-}
-
-/// Retry transport errors *and* retryable server answers (503 load shed or
-/// drain, 504 scorer timeout, 429 admission control) up to `retries` extra
-/// attempts. The backoff is deterministic — 100 ms doubling to a 2 s cap —
-/// and a `Retry-After` header from the server overrides the local schedule
-/// (capped the same), so a shedding server paces its own clients. The
-/// final attempt's answer (or last transport error) is returned as-is;
-/// retried answers leave their `X-Request-Id` in the error path so a
-/// timed-out request can still be traced in the server's journal.
-fn request_with_retry(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: &str,
-    retries: usize,
-    timeout: Duration,
-) -> Result<(u16, String, Option<String>), String> {
-    const CAP: Duration = Duration::from_secs(2);
-    let mut delay = Duration::from_millis(100);
-    let mut last = String::new();
-    let mut last_id: Option<String> = None;
-    for attempt in 0..=retries {
-        match request_once(addr, method, path, body, timeout) {
-            Ok((status, response, retry_after, request_id)) => {
-                let retryable = status == 503 || status == 504 || status == 429;
-                if !retryable || attempt == retries {
-                    return Ok((status, response, request_id));
-                }
-                if let Some(id) = &request_id {
-                    eprintln!(
-                        "siterec-serve: {status} on attempt {attempt} (request id {id}), retrying"
-                    );
-                }
-                last_id = request_id;
-                let wait = retry_after
-                    .map(Duration::from_secs)
-                    .unwrap_or(delay)
-                    .min(CAP);
-                std::thread::sleep(wait);
-            }
-            Err(e) => {
-                last = e;
-                if attempt < retries {
-                    std::thread::sleep(delay.min(CAP));
-                }
-            }
-        }
-        delay = (delay * 2).min(CAP);
-    }
-    let id_note = match last_id {
-        Some(id) => format!(" (last request id {id})"),
-        None => String::new(),
-    };
-    Err(format!(
-        "request to {addr} failed after {} attempt(s): {last}{id_note}",
-        retries + 1
-    ))
-}
-
-/// One HTTP/1.1 exchange over a fresh connection (`Connection: close`),
-/// bounded by `timeout` end to end: the connect gets an explicit
-/// `connect_timeout` (a plain `TcpStream::connect` can hang on a stopped
-/// replica for minutes), and the remaining budget becomes the read/write
-/// timeouts. Returns `(status, body, Retry-After seconds, X-Request-Id)`.
-#[allow(clippy::type_complexity)]
-fn request_once(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: &str,
-    timeout: Duration,
-) -> Result<(u16, String, Option<u64>, Option<String>), String> {
-    let err = |e: std::io::Error| e.to_string();
-    let t0 = Instant::now();
-    let sock_addr = addr
-        .to_socket_addrs()
-        .map_err(err)?
-        .next()
-        .ok_or_else(|| format!("address {addr:?} did not resolve"))?;
-    let mut stream = TcpStream::connect_timeout(&sock_addr, timeout).map_err(err)?;
-    let remaining = timeout
-        .checked_sub(t0.elapsed())
-        .unwrap_or(Duration::from_millis(1))
-        .max(Duration::from_millis(1));
-    stream.set_read_timeout(Some(remaining)).map_err(err)?;
-    stream.set_write_timeout(Some(remaining)).map_err(err)?;
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .map_err(err)?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).map_err(err)?;
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("malformed response: {raw:?}"))?;
-    let (head, body) = raw
-        .split_once("\r\n\r\n")
-        .map(|(h, b)| (h, b.to_string()))
-        .unwrap_or((raw.as_str(), String::new()));
-    let header = |name: &str| {
-        head.lines().find_map(|line| {
-            let (n, value) = line.split_once(':')?;
-            if n.trim().eq_ignore_ascii_case(name) {
-                Some(value.trim().to_string())
-            } else {
-                None
-            }
-        })
-    };
-    let retry_after = header("retry-after").and_then(|v| v.parse::<u64>().ok());
-    let request_id = header("x-request-id");
-    Ok((status, body, retry_after, request_id))
 }

@@ -34,10 +34,11 @@
 //! splitmix64 stream seeded by `(seed, replica, attempt)` — reproducible
 //! across runs with the same seed.
 
+use crate::client::{self, Request};
 use crate::http;
 use crate::server::accept_or_wait;
 use siterec_obs::{self as obs, json};
-use std::io::{BufRead, BufReader, Read as _, Write as _};
+use std::io::{BufRead, BufReader, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -111,20 +112,11 @@ impl Default for SuperviseConfig {
     }
 }
 
-/// splitmix64: the repo-standard seeded stream for deterministic jitter.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Deterministic restart backoff: `min(100ms · 2^attempt, 5s)` plus up to
 /// 100 ms of jitter drawn from `(seed, replica, attempt)`.
 fn backoff(seed: u64, replica: usize, attempt: u32) -> Duration {
     let base = Duration::from_millis(100 << attempt.min(6)).min(BACKOFF_CAP);
-    let jitter = splitmix64(seed ^ ((replica as u64) << 32) ^ u64::from(attempt)) % 100;
+    let jitter = obs::splitmix64(seed ^ ((replica as u64) << 32) ^ u64::from(attempt)) % 100;
     base + Duration::from_millis(jitter)
 }
 
@@ -512,7 +504,8 @@ impl Supervisor {
             return false;
         }
         event("drain", index, &format!("draining {addr}"));
-        let _ = http_post(addr, "/admin/drain", self.cfg.health_timeout);
+        let drain = Request::new("POST", "/admin/drain", "");
+        let _ = client::send(&addr.to_string(), &drain, self.cfg.health_timeout);
         let deadline = Instant::now() + self.cfg.drain_wait;
         while Instant::now() < deadline {
             if let Some(child) = self.replicas[i].child.as_mut() {
@@ -618,47 +611,9 @@ impl Supervisor {
 /// healthy (a degraded replica still serves; a draining one is about to
 /// exit, but it answers 200 and the exit is picked up by `try_wait`).
 fn probe_healthz(addr: SocketAddr, timeout: Duration) -> bool {
-    matches!(http_get(addr, "/healthz", timeout), Ok((200, _)))
-}
-
-fn http_get(addr: SocketAddr, path: &str, timeout: Duration) -> Result<(u16, String), String> {
-    http_exchange(addr, "GET", path, timeout)
-}
-
-fn http_post(addr: SocketAddr, path: &str, timeout: Duration) -> Result<(u16, String), String> {
-    http_exchange(addr, "POST", path, timeout)
-}
-
-/// Minimal one-shot HTTP exchange with connect + read timeouts (the
-/// supervisor must never block on a hung replica — that is precisely the
-/// failure it exists to detect).
-fn http_exchange(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    timeout: Duration,
-) -> Result<(u16, String), String> {
-    let err = |e: std::io::Error| e.to_string();
-    let mut stream = TcpStream::connect_timeout(&addr, timeout).map_err(err)?;
-    stream.set_read_timeout(Some(timeout)).map_err(err)?;
-    stream.set_write_timeout(Some(timeout)).map_err(err)?;
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\nContent-Length: 0\r\n\r\n"
-    )
-    .map_err(err)?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).map_err(err)?;
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("malformed response: {raw:?}"))?;
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    Ok((status, body))
+    let probe = Request::new("GET", "/healthz", "");
+    let resp = client::send(&addr.to_string(), &probe, timeout);
+    resp.is_ok_and(|r| r.status == 200)
 }
 
 #[cfg(test)]
@@ -680,5 +635,9 @@ mod tests {
         assert_ne!(backoff(1, 0, 3), backoff(2, 0, 3));
         // Doubling: attempt 2's base is 4x attempt 0's.
         assert!(backoff(7, 0, 2) >= Duration::from_millis(400));
+        // The seeded schedule itself is pinned: base + jitter in ms.
+        assert_eq!(backoff(7, 0, 0), Duration::from_millis(100 + 87));
+        assert_eq!(backoff(7, 1, 3), Duration::from_millis(800 + 69));
+        assert_eq!(backoff(42, 2, 9), BACKOFF_CAP + Duration::from_millis(4));
     }
 }

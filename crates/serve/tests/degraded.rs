@@ -9,43 +9,25 @@
 //! process, and a single test fn keeps the sequence race-free.
 
 use siterec_obs as obs;
-use siterec_serve::{start, EmbeddingStore, Recipe, Reloader, ServeConfig};
-use std::io::{Read, Write as _};
-use std::net::TcpStream;
+use siterec_serve::client::{self, Request, Response};
+use siterec_serve::{start, EmbeddingStore, Query, Recipe, Reloader, ServeConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// One `Connection: close` exchange returning `(status, headers, body)`.
-fn http(addr: &str, method: &str, path: &str, body: &str) -> (u16, String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("send request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let status = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let (head, body) = raw
-        .split_once("\r\n\r\n")
-        .map(|(h, b)| (h.to_string(), b.to_string()))
-        .unwrap_or((raw.clone(), String::new()));
-    (status, head, body)
+fn http(addr: &str, method: &str, path: &str, body: &str) -> Response {
+    let req = Request::new(method, path, body);
+    client::send(addr, &req, Duration::from_secs(30)).expect("exchange")
 }
 
-fn score_bits(body: &str) -> u32 {
-    let line = body.lines().next().expect("one response line");
-    let v = obs::json::parse(line).expect("valid response JSON");
-    (v.get("score").and_then(|s| s.as_num()).expect("score") as f32).to_bits()
+fn score(addr: &str, region: usize, ty: usize) -> Response {
+    let period = None;
+    let body = client::score_body(&[Query { region, ty, period }]);
+    http(addr, "POST", "/v1/score", &body)
+}
+
+fn score_bits(r: &Response) -> Vec<u32> {
+    client::score_bits(&r.body).expect("score response")
 }
 
 #[test]
@@ -102,8 +84,9 @@ fn degraded_reload_and_scorer_timeout() {
     let addr = handle.addr().to_string();
 
     // Healthy baseline.
-    let (st, _, health) = http(&addr, "GET", "/healthz", "");
-    assert_eq!(st, 200);
+    let r = http(&addr, "GET", "/healthz", "");
+    let health = r.body;
+    assert_eq!(r.status, 200);
     assert!(
         health.contains("\"status\":\"ok\""),
         "not healthy: {health}"
@@ -112,28 +95,28 @@ fn degraded_reload_and_scorer_timeout() {
         !health.contains("degraded_reason"),
         "healthy healthz leaks a reason"
     );
-    let (st, _, body) = http(&addr, "POST", "/v1/score", "{\"region\":0,\"type\":0}\n");
-    assert_eq!(st, 200);
-    assert_eq!(score_bits(&body), offline[0].to_bits());
+    let r = score(&addr, 0, 0);
+    assert_eq!(r.status, 200);
+    assert_eq!(score_bits(&r), [offline[0].to_bits()]);
 
     // Scorer drop → fast 504 with Retry-After, then the retry succeeds and
     // reproduces the offline bits (the dropped query was never cached).
     obs::failpoint::arm("serve.score=err@1").unwrap();
-    let (st, head, body) = http(&addr, "POST", "/v1/score", "{\"region\":1,\"type\":1}\n");
-    assert_eq!(st, 504, "dropped batch must answer 504: {body}");
+    let r = score(&addr, 1, 1);
+    assert_eq!(r.status, 504, "dropped batch must answer 504: {r:?}");
     assert!(
-        head.to_ascii_lowercase().contains("retry-after"),
-        "504 must carry Retry-After: {head}"
+        r.retry_after().is_some(),
+        "504 must carry Retry-After: {r:?}"
     );
-    let (st, _, body) = http(&addr, "POST", "/v1/score", "{\"region\":1,\"type\":1}\n");
-    assert_eq!(st, 200, "retry after 504 must succeed: {body}");
-    assert_eq!(score_bits(&body), offline[1].to_bits());
+    let r = score(&addr, 1, 1);
+    assert_eq!(r.status, 200, "retry after 504 must succeed: {r:?}");
+    assert_eq!(score_bits(&r), [offline[1].to_bits()]);
     obs::failpoint::disarm();
 
     // Failed reload → 500, degraded /healthz + /metrics, old store serving.
-    let (st, _, body) = http(&addr, "POST", "/admin/reload", "");
-    assert_eq!(st, 500, "first reload must fail: {body}");
-    let (_, _, health) = http(&addr, "GET", "/healthz", "");
+    let r = http(&addr, "POST", "/admin/reload", "");
+    assert_eq!(r.status, 500, "first reload must fail: {r:?}");
+    let health = http(&addr, "GET", "/healthz", "").body;
     assert!(
         health.contains("\"status\":\"degraded\""),
         "failed reload did not degrade: {health}"
@@ -142,42 +125,43 @@ fn degraded_reload_and_scorer_timeout() {
         health.contains("synthetic reload failure"),
         "degraded_reason must name the cause: {health}"
     );
-    let (_, _, metrics) = http(&addr, "GET", "/metrics?format=json", "");
+    let metrics = http(&addr, "GET", "/metrics?format=json", "").body;
     assert!(
         metrics.contains("\"degraded\":1"),
         "metrics miss degraded flag: {metrics}"
     );
-    let (_, head, prom) = http(&addr, "GET", "/metrics", "");
+    let r = http(&addr, "GET", "/metrics", "");
     assert!(
-        head.contains("Content-Type: text/plain"),
-        "prometheus /metrics must be text/plain: {head}"
+        r.header("content-type")
+            .is_some_and(|t| t.starts_with("text/plain")),
+        "prometheus /metrics must be text/plain: {r:?}"
     );
     assert!(
-        prom.contains("siterec_serve_degraded 1"),
-        "prometheus metrics miss degraded gauge: {prom}"
+        r.body.contains("siterec_serve_degraded 1"),
+        "prometheus metrics miss degraded gauge: {r:?}"
     );
-    let (st, _, body) = http(&addr, "POST", "/v1/score", "{\"region\":0,\"type\":0}\n");
-    assert_eq!(st, 200, "degraded server must keep serving: {body}");
-    assert_eq!(score_bits(&body), offline[0].to_bits());
+    let r = score(&addr, 0, 0);
+    assert_eq!(r.status, 200, "degraded server must keep serving: {r:?}");
+    assert_eq!(score_bits(&r), [offline[0].to_bits()]);
 
     // Successful reload → recovered.
-    let (st, _, body) = http(&addr, "POST", "/admin/reload", "");
-    assert_eq!(st, 200, "second reload must succeed: {body}");
-    let (_, _, health) = http(&addr, "GET", "/healthz", "");
+    let r = http(&addr, "POST", "/admin/reload", "");
+    assert_eq!(r.status, 200, "second reload must succeed: {r:?}");
+    let health = http(&addr, "GET", "/healthz", "").body;
     assert!(
         health.contains("\"status\":\"ok\""),
         "reload did not recover: {health}"
     );
-    let (_, _, metrics) = http(&addr, "GET", "/metrics?format=json", "");
+    let metrics = http(&addr, "GET", "/metrics?format=json", "").body;
     assert!(
         metrics.contains("\"degraded\":0"),
         "metrics still degraded: {metrics}"
     );
-    let (st, _, body) = http(&addr, "POST", "/v1/score", "{\"region\":1,\"type\":1}\n");
-    assert_eq!(st, 200);
+    let r = score(&addr, 1, 1);
+    assert_eq!(r.status, 200);
     assert_eq!(
-        score_bits(&body),
-        offline[1].to_bits(),
+        score_bits(&r),
+        [offline[1].to_bits()],
         "post-recovery bits diverged"
     );
 

@@ -9,88 +9,32 @@
 //! process-global; a single test fn keeps the journal assertions race-free.
 
 use siterec_obs as obs;
-use siterec_serve::{start, EmbeddingStore, Recipe, ServeConfig};
-use std::io::{BufRead, BufReader, Read, Write as _};
+use siterec_serve::client::{self, Conn, Request, Response};
+use siterec_serve::{start, EmbeddingStore, Query, Recipe, ServeConfig};
+use std::io::Read;
 use std::net::TcpStream;
 use std::time::Duration;
 
-/// One `Connection: close` exchange returning `(status, headers, body)`.
-fn http(addr: &str, method: &str, path: &str, body: &str) -> (u16, String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("send request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    split_response(&raw)
+const TIMEOUT: Duration = Duration::from_secs(30);
+
+fn http(addr: &str, method: &str, path: &str, body: &str) -> Response {
+    let req = Request::new(method, path, body);
+    client::send(addr, &req, TIMEOUT).expect("exchange")
 }
 
-fn split_response(raw: &str) -> (u16, String, String) {
-    let status = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let (head, body) = raw
-        .split_once("\r\n\r\n")
-        .map(|(h, b)| (h.to_string(), b.to_string()))
-        .unwrap_or((raw.to_string(), String::new()));
-    (status, head, body)
+/// One exchange over an already-open keep-alive connection.
+fn exchange(conn: &mut Conn, method: &str, path: &str, body: &str) -> Response {
+    let req = Request::new(method, path, body);
+    conn.send(&req).expect("keep-alive exchange")
 }
 
-/// One exchange over an already-open keep-alive connection: writes the
-/// request, then reads exactly one Content-Length-framed response.
-fn exchange(
-    reader: &mut BufReader<TcpStream>,
-    out: &mut TcpStream,
-    method: &str,
-    path: &str,
-    body: &str,
-) -> (u16, String, String) {
-    write!(
-        out,
-        "{method} {path} HTTP/1.1\r\nHost: keepalive\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("send request");
-    let mut head = String::new();
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("read response header");
-        assert!(!line.is_empty(), "connection closed mid-response");
-        if line == "\r\n" {
-            break;
-        }
-        head.push_str(&line);
-    }
-    let len: usize = head
-        .lines()
-        .find_map(|l| {
-            l.to_ascii_lowercase()
-                .strip_prefix("content-length:")
-                .map(|v| v.trim().parse().expect("content-length"))
-        })
-        .expect("response carries Content-Length");
-    let mut body = vec![0u8; len];
-    reader.read_exact(&mut body).expect("read response body");
-    let status = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    (status, head, String::from_utf8(body).expect("utf8 body"))
+fn score_body(region: usize, ty: usize) -> String {
+    let period = None;
+    client::score_body(&[Query { region, ty, period }])
 }
 
-fn score_bits(body: &str) -> u32 {
-    let line = body.lines().next().expect("one response line");
-    let v = obs::json::parse(line).expect("valid response JSON");
-    (v.get("score").and_then(|s| s.as_num()).expect("score") as f32).to_bits()
+fn score_bits(r: &Response) -> Vec<u32> {
+    client::score_bits(&r.body).expect("score response")
 }
 
 #[test]
@@ -146,19 +90,24 @@ fn drain_and_admission_control() {
     third
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
+    // It is answered before it sends anything, so the answer is read raw.
     let mut raw = String::new();
     third.read_to_string(&mut raw).expect("read 429");
-    let (st, head, _) = split_response(&raw);
-    assert_eq!(st, 429, "over-cap connection must get 429: {raw}");
+    let head = raw.split("\r\n\r\n").next().unwrap().to_ascii_lowercase();
     assert!(
-        head.to_ascii_lowercase().contains("retry-after"),
-        "429 must carry Retry-After: {head}"
+        head.starts_with("http/1.1 429 "),
+        "over-cap connection must get 429: {raw}"
+    );
+    assert!(
+        head.contains("\r\nretry-after: "),
+        "429 must carry Retry-After: {raw}"
     );
     drop(held1);
     drop(held2);
     std::thread::sleep(Duration::from_millis(250));
-    let (st, _, metrics) = http(&addr, "GET", "/metrics?format=json", "");
-    assert_eq!(st, 200);
+    let r = http(&addr, "GET", "/metrics?format=json", "");
+    let metrics = r.body;
+    assert_eq!(r.status, 200);
     assert!(
         metrics.contains("\"conns_rejected\":1"),
         "metrics miss the rejected connection: {metrics}"
@@ -167,7 +116,7 @@ fn drain_and_admission_control() {
         metrics.contains("\"inflight_connections\":") && metrics.contains("\"queue_depth\":"),
         "metrics miss the new gauges: {metrics}"
     );
-    let (_, _, prom) = http(&addr, "GET", "/metrics", "");
+    let prom = http(&addr, "GET", "/metrics", "").body;
     assert!(
         prom.contains("siterec_serve_conns_rejected_total 1")
             && prom.contains("siterec_serve_inflight_connections")
@@ -194,44 +143,29 @@ fn drain_and_admission_control() {
     };
     let handle = start(EmbeddingStore::new(model.export_serving()), cfg, None).expect("bind");
     let addr = handle.addr().to_string();
-    let stream = TcpStream::connect(&addr).expect("keep-alive conn");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut out = stream;
-    let (st, _, body) = exchange(
-        &mut reader,
-        &mut out,
-        "POST",
-        "/v1/score",
-        "{\"region\":0,\"type\":0}\n",
+    let mut conn = Conn::open(&addr, TIMEOUT).expect("keep-alive conn");
+    let r = exchange(&mut conn, "POST", "/v1/score", &score_body(0, 0));
+    assert_eq!(
+        r.status, 200,
+        "burst token must admit the first score: {r:?}"
     );
-    assert_eq!(st, 200, "burst token must admit the first score: {body}");
-    assert_eq!(score_bits(&body), offline[0].to_bits());
-    let (st, head, _) = exchange(
-        &mut reader,
-        &mut out,
-        "POST",
-        "/v1/score",
-        "{\"region\":1,\"type\":1}\n",
-    );
-    assert_eq!(st, 429, "empty bucket must answer 429");
+    assert_eq!(score_bits(&r), [offline[0].to_bits()]);
+    let r = exchange(&mut conn, "POST", "/v1/score", &score_body(1, 1));
+    assert_eq!(r.status, 429, "empty bucket must answer 429");
     assert!(
-        head.to_ascii_lowercase().contains("retry-after"),
-        "429 must carry Retry-After: {head}"
+        r.retry_after().is_some(),
+        "429 must carry Retry-After: {r:?}"
     );
     // Health checks are never throttled — operators can always look.
-    let (st, _, _) = exchange(&mut reader, &mut out, "GET", "/healthz", "");
-    assert_eq!(st, 200, "healthz must bypass the token bucket");
-    let (st, _, metrics) = exchange(&mut reader, &mut out, "GET", "/metrics?format=json", "");
-    assert_eq!(st, 200);
+    let r = exchange(&mut conn, "GET", "/healthz", "");
+    assert_eq!(r.status, 200, "healthz must bypass the token bucket");
+    let r = exchange(&mut conn, "GET", "/metrics?format=json", "");
+    assert_eq!(r.status, 200);
     assert!(
-        metrics.contains("\"rate_limited\":1"),
-        "metrics miss the throttled request: {metrics}"
+        r.body.contains("\"rate_limited\":1"),
+        "metrics miss the throttled request: {r:?}"
     );
-    drop(reader);
-    drop(out);
+    drop(conn);
     handle.shutdown();
     handle.join();
 
@@ -253,42 +187,28 @@ fn drain_and_admission_control() {
     };
     let handle = start(EmbeddingStore::new(model.export_serving()), cfg, None).expect("bind");
     let addr = handle.addr().to_string();
-    let stream = TcpStream::connect(&addr).expect("keep-alive conn");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut out = stream;
-    let (st, _, body) = exchange(
-        &mut reader,
-        &mut out,
-        "POST",
-        "/v1/score",
-        "{\"region\":0,\"type\":0}\n",
-    );
-    assert_eq!(st, 200);
-    assert_eq!(score_bits(&body), offline[0].to_bits());
-    let (st, _, body) = http(&addr, "POST", "/admin/drain", "");
-    assert_eq!(st, 200, "drain endpoint must acknowledge: {body}");
+    let mut conn = Conn::open(&addr, TIMEOUT).expect("keep-alive conn");
+    let r = exchange(&mut conn, "POST", "/v1/score", &score_body(0, 0));
+    assert_eq!(r.status, 200);
+    assert_eq!(score_bits(&r), [offline[0].to_bits()]);
+    let r = http(&addr, "POST", "/admin/drain", "");
+    assert_eq!(r.status, 200, "drain endpoint must acknowledge: {r:?}");
     assert!(
-        body.contains("\"status\":\"draining\""),
-        "drain ack names the state: {body}"
+        r.body.contains("\"status\":\"draining\""),
+        "drain ack names the state: {r:?}"
     );
-    let (st, head, body) = exchange(
-        &mut reader,
-        &mut out,
-        "POST",
-        "/v1/score",
-        "{\"region\":1,\"type\":1}\n",
-    );
-    assert_eq!(st, 503, "draining server must refuse new scores: {body}");
-    assert!(
-        head.to_ascii_lowercase().contains("retry-after"),
-        "drain refusal must carry Retry-After: {head}"
+    let r = exchange(&mut conn, "POST", "/v1/score", &score_body(1, 1));
+    assert_eq!(
+        r.status, 503,
+        "draining server must refuse new scores: {r:?}"
     );
     assert!(
-        body.contains("draining"),
-        "drain refusal names the cause: {body}"
+        r.retry_after().is_some(),
+        "drain refusal must carry Retry-After: {r:?}"
+    );
+    assert!(
+        r.body.contains("draining"),
+        "drain refusal names the cause: {r:?}"
     );
     // The drain finishes on its own: every thread exits without shutdown().
     handle.join();

@@ -49,41 +49,33 @@ static COUNTER: CountingAlloc = CountingAlloc;
 /// straight past it.
 const ALLOC_BOUND: u64 = 256 << 20;
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// One seeded mutation of `base`: truncate, bit-flip, splice, garbage
 /// overwrite, or pure noise.
 fn mutate(base: &[u8], rng: &mut u64) -> Vec<u8> {
     let mut b = base.to_vec();
-    match splitmix(rng) % 5 {
+    match obs::splitmix64_next(rng) % 5 {
         0 => {
             // Truncate at a random point (torn write / short read).
-            let at = (splitmix(rng) as usize) % (b.len() + 1);
+            let at = (obs::splitmix64_next(rng) as usize) % (b.len() + 1);
             b.truncate(at);
         }
         1 => {
             // Flip 1–8 random bits (bit rot).
-            for _ in 0..=(splitmix(rng) % 8) {
+            for _ in 0..=(obs::splitmix64_next(rng) % 8) {
                 if b.is_empty() {
                     break;
                 }
-                let i = (splitmix(rng) as usize) % b.len();
-                b[i] ^= 1 << (splitmix(rng) % 8);
+                let i = (obs::splitmix64_next(rng) as usize) % b.len();
+                b[i] ^= 1 << (obs::splitmix64_next(rng) % 8);
             }
         }
         2 => {
             // Splice a random self-range over another position (misordered
             // pages): shifts every downstream length field.
             if b.len() >= 2 {
-                let src = (splitmix(rng) as usize) % b.len();
-                let dst = (splitmix(rng) as usize) % b.len();
-                let len = ((splitmix(rng) as usize) % 64).min(b.len() - src.max(dst));
+                let src = (obs::splitmix64_next(rng) as usize) % b.len();
+                let dst = (obs::splitmix64_next(rng) as usize) % b.len();
+                let len = ((obs::splitmix64_next(rng) as usize) % 64).min(b.len() - src.max(dst));
                 let chunk = b[src..src + len].to_vec();
                 b[dst..dst + len].copy_from_slice(&chunk);
             }
@@ -92,17 +84,19 @@ fn mutate(base: &[u8], rng: &mut u64) -> Vec<u8> {
             // Overwrite a random range with garbage (firmware lies). Length
             // fields turn into attacker-controlled giants here.
             if !b.is_empty() {
-                let at = (splitmix(rng) as usize) % b.len();
-                let len = ((splitmix(rng) as usize) % 32).min(b.len() - at);
+                let at = (obs::splitmix64_next(rng) as usize) % b.len();
+                let len = ((obs::splitmix64_next(rng) as usize) % 32).min(b.len() - at);
                 for x in &mut b[at..at + len] {
-                    *x = (splitmix(rng) & 0xff) as u8;
+                    *x = (obs::splitmix64_next(rng) & 0xff) as u8;
                 }
             }
         }
         _ => {
             // Pure noise of a random small size.
-            let len = (splitmix(rng) as usize) % 512;
-            b = (0..len).map(|_| (splitmix(rng) & 0xff) as u8).collect();
+            let len = (obs::splitmix64_next(rng) as usize) % 512;
+            b = (0..len)
+                .map(|_| (obs::splitmix64_next(rng) & 0xff) as u8)
+                .collect();
         }
     }
     b

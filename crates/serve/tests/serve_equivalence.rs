@@ -4,11 +4,10 @@
 //! at 1 and 8 workers, batched or single, cold or cached.
 
 use siterec_geo::Period;
+use siterec_serve::client::{self, Request};
 use siterec_serve::server::{start, ServeConfig};
 use siterec_serve::{EmbeddingStore, Query, Recipe};
 use siterec_tensor::checkpoint::CheckpointPolicy;
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -59,63 +58,27 @@ fn offline_bits(model: &siterec_core::O2SiteRec, queries: &[Query]) -> Vec<u32> 
         .collect()
 }
 
-/// One `Connection: close` HTTP exchange; returns `(status, body)`.
+/// One `Connection: close` exchange; returns `(status, body)`.
 fn http(addr: &str, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).unwrap();
-    let status = raw.split_whitespace().nth(1).unwrap().parse().unwrap();
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
-fn query_line(q: &Query) -> String {
-    let p = match q.period {
-        Some(p) => format!("\"{}\"", p.label()),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"region\":{},\"type\":{},\"period\":{p}}}\n",
-        q.region, q.ty
-    )
-}
-
-/// Parse the scores out of a `/v1/score` JSONL response, in order.
-fn body_bits(body: &str) -> Vec<u32> {
-    body.lines()
-        .map(|line| {
-            let v = siterec_obs::json::parse(line).unwrap();
-            let score = v.get("score").and_then(|s| s.as_num()).unwrap();
-            (score as f32).to_bits()
-        })
-        .collect()
+    let req = Request::new(method, path, body);
+    let r = client::send(addr, &req, Duration::from_secs(30)).unwrap();
+    (r.status, r.body)
 }
 
 fn serve_bits(addr: &str, queries: &[Query], batched: bool) -> Vec<u32> {
     if batched {
-        let body: String = queries.iter().map(query_line).collect();
-        let (status, body) = http(addr, "POST", "/v1/score", &body);
+        let (status, body) = http(addr, "POST", "/v1/score", &client::score_body(queries));
         assert_eq!(status, 200, "batched score failed: {body}");
-        body_bits(&body)
+        client::score_bits(&body).unwrap()
     } else {
         queries
             .iter()
             .map(|q| {
-                let (status, body) = http(addr, "POST", "/v1/score", &query_line(q));
+                let (status, body) = http(addr, "POST", "/v1/score", &client::score_body(&[*q]));
                 assert_eq!(status, 200, "single score failed: {body}");
-                body_bits(&body)[0]
+                let bits = client::score_bits(&body).unwrap();
+                assert_eq!(bits.len(), 1, "one score per request: {body}");
+                bits[0]
             })
             .collect()
     }
@@ -256,9 +219,14 @@ fn shed_returns_503_with_retry_after() {
     let addr = handle.addr().to_string();
 
     // Distinct queries so the cache can't absorb the burst.
-    let body: String = (0..n)
-        .map(|r| format!("{{\"region\":{r},\"type\":0}}\n"))
+    let burst: Vec<Query> = (0..n)
+        .map(|region| Query {
+            region,
+            ty: 0,
+            period: None,
+        })
         .collect();
+    let body = client::score_body(&burst);
     let mut saw_shed = false;
     for _ in 0..8 {
         let (status, body_out) = http(&addr, "POST", "/v1/score", &body);

@@ -8,11 +8,10 @@
 
 use siterec_geo::Period;
 use siterec_obs as obs;
+use siterec_serve::client::{self, Request, Response};
 use siterec_serve::server::{start, ServeConfig};
 use siterec_serve::{EmbeddingStore, Query, Recipe};
 use siterec_tensor::checkpoint::CheckpointPolicy;
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -59,61 +58,15 @@ fn offline_bits(model: &siterec_core::O2SiteRec, queries: &[Query]) -> Vec<u32> 
         .collect()
 }
 
-/// One `Connection: close` exchange with optional extra request headers;
-/// returns `(status, response head, body)`.
-fn http(addr: &str, method: &str, path: &str, headers: &str, body: &str) -> (u16, String, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n{headers}Content-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).unwrap();
-    let status = raw.split_whitespace().nth(1).unwrap().parse().unwrap();
-    let (head, body) = raw
-        .split_once("\r\n\r\n")
-        .map(|(h, b)| (h.to_string(), b.to_string()))
-        .unwrap_or((raw.clone(), String::new()));
-    (status, head, body)
-}
-
-fn response_request_id(head: &str) -> Option<String> {
-    head.lines().find_map(|line| {
-        let (name, value) = line.split_once(':')?;
-        if name.trim().eq_ignore_ascii_case("x-request-id") {
-            Some(value.trim().to_string())
-        } else {
-            None
-        }
-    })
-}
-
-fn query_line(q: &Query) -> String {
-    let p = match q.period {
-        Some(p) => format!("\"{}\"", p.label()),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"region\":{},\"type\":{},\"period\":{p}}}\n",
-        q.region, q.ty
-    )
+fn http(addr: &str, req: &Request) -> Response {
+    client::send(addr, req, Duration::from_secs(30)).unwrap()
 }
 
 fn serve_bits(addr: &str, queries: &[Query]) -> Vec<u32> {
-    let body: String = queries.iter().map(query_line).collect();
-    let (status, _, body) = http(addr, "POST", "/v1/score", "", &body);
-    assert_eq!(status, 200, "score failed: {body}");
-    body.lines()
-        .map(|line| {
-            let v = obs::json::parse(line).unwrap();
-            (v.get("score").and_then(|s| s.as_num()).unwrap() as f32).to_bits()
-        })
-        .collect()
+    let body = client::score_body(queries);
+    let r = http(addr, &Request::new("POST", "/v1/score", &body));
+    assert_eq!(r.status, 200, "score failed: {r:?}");
+    client::score_bits(&r.body).unwrap()
 }
 
 fn test_config(workers: usize) -> ServeConfig {
@@ -174,24 +127,27 @@ fn tracing_preserves_bits_and_roundtrips_request_ids() {
     let handle = start(store, test_config(2), None).unwrap();
     let addr = handle.addr().to_string();
 
-    let (status, head, body) = http(
-        &addr,
-        "POST",
-        "/v1/score",
-        "X-Request-Id: client-supplied-42\r\n",
-        "{\"region\":0,\"type\":2}\n",
-    );
-    assert_eq!(status, 200, "traced score failed: {body}");
+    let body = client::score_body(&[Query {
+        region: 0,
+        ty: 2,
+        period: None,
+    }]);
+    let req = Request {
+        request_id: Some("client-supplied-42"),
+        ..Request::new("POST", "/v1/score", &body)
+    };
+    let r = http(&addr, &req);
+    assert_eq!(r.status, 200, "traced score failed: {r:?}");
     assert_eq!(
-        response_request_id(&head).as_deref(),
+        r.request_id(),
         Some("client-supplied-42"),
-        "client id not echoed: {head}"
+        "client id not echoed: {r:?}"
     );
 
     // Without a client id the server mints one (sr- + 16 hex).
-    let (status, head, _) = http(&addr, "GET", "/healthz", "", "");
-    assert_eq!(status, 200);
-    let minted = response_request_id(&head).expect("server-minted id");
+    let r = http(&addr, &Request::new("GET", "/healthz", ""));
+    assert_eq!(r.status, 200);
+    let minted = r.request_id().expect("server-minted id");
     assert!(
         minted.starts_with("sr-") && minted.len() == 19,
         "bad minted id {minted:?}"

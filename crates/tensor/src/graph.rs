@@ -550,10 +550,12 @@ impl Graph {
         assert_eq!(av.rows(), segments.len(), "segment_sum length mismatch");
         // CSR inversion: each output row sums its inputs in ascending input
         // order — the exact per-element order of the serial scatter loop —
-        // so the row-parallel split is bitwise deterministic.
+        // so the row-parallel split is bitwise deterministic. The walk adds
+        // about 2–3 elements per ns serially (2-core AVX-512 Xeon), so the
+        // planner, which assumes 1 flop/ns, gets half the adds.
         let (n_segments, cols) = (segments.n(), av.cols());
         let csr = segments.csr();
-        let per_row = (segments.len() * cols / n_segments.max(1)).max(1);
+        let per_row = (segments.len() * cols / n_segments.max(1) / 2).max(1);
         let mut out = lease_zeros(&self.arena, n_segments, cols);
         parallel::for_each_row_block_mut(out.data_mut(), cols, per_row, |s0, block| {
             for (bs, dst) in block.chunks_mut(cols).enumerate() {
@@ -795,10 +797,12 @@ impl Graph {
         }
         recycle(arena, k_h);
 
-        // raw[h][i] = kw_h[i] · Q_h[i] (row_dot's `Iterator::sum`).
+        // raw[h][i] = kw_h[i] · Q_h[i] (row_dot's `Iterator::sum`). Its
+        // 2·hd flops per dot ran at 1.5–3 flops/ns serially (2-core AVX-512
+        // Xeon), so the planner, which assumes 1 flop/ns, gets hd.
         let mut raw = lease_zeros(arena, heads, e);
         let kw_d = kw.data();
-        parallel::for_each_row_block_mut(raw.data_mut(), 1, 2 * hd, |j0, block| {
+        parallel::for_each_row_block_mut(raw.data_mut(), 1, hd, |j0, block| {
             for (bj, o) in block.iter_mut().enumerate() {
                 let (h, i) = ((j0 + bj) / e, (j0 + bj) % e);
                 *o = kw_d[(h * e + i) * hd..(h * e + i + 1) * hd]
@@ -1151,10 +1155,11 @@ impl Graph {
                 Op::GatherRows(a, idx) => {
                     // Scatter-add inverted to CSR: each source row of `a`
                     // accumulates its gathered copies in ascending gather
-                    // order (the serial loop's order), row-parallel.
+                    // order (the serial loop's order), row-parallel. Work
+                    // is half the adds, as for `segment_sum`'s CSR walk.
                     let (rows, cols) = nodes[a.0].value.shape();
                     let csr = idx.csr();
-                    let per_row = (idx.len() * cols / rows.max(1)).max(1);
+                    let per_row = (idx.len() * cols / rows.max(1) / 2).max(1);
                     let mut ga = lease_zeros(arena, rows, cols);
                     parallel::for_each_row_block_mut(ga.data_mut(), cols, per_row, |r0, block| {
                         for (br, dst) in block.chunks_mut(cols).enumerate() {
@@ -1416,8 +1421,12 @@ fn softmax_column(
     seg_sum: &mut [f32],
     out: &mut [f32],
 ) {
+    // Work estimates are in the planner's ~1 flop/ns unit, from serial rates
+    // measured on a 2-core AVX-512 Xeon: the CSR max and sum walks take
+    // 1.0–2.7 ns per member (2 per member); the exp and divide passes are
+    // in `kernels::softmax_exp_work` and `kernels::STREAM_WORK`.
     let (n_seg, csr) = (seg.n(), seg.csr());
-    let per_seg = (2 * x.len() / n_seg.max(1)).max(1) * 8;
+    let per_seg = (2 * x.len() / n_seg.max(1)).max(1);
     parallel::for_each_row_block_mut(seg_max, 1, per_seg, |s0, block| {
         for (bs, st) in block.iter_mut().enumerate() {
             let members = &csr.order[csr.offsets[s0 + bs]..csr.offsets[s0 + bs + 1]];
@@ -1429,7 +1438,7 @@ fn softmax_column(
         }
     });
     let seg_max: &[f32] = seg_max;
-    parallel::for_each_row_block_mut(out, 1, 32, |i0, block| {
+    parallel::for_each_row_block_mut(out, 1, kernels::softmax_exp_work(), |i0, block| {
         kernels::softmax_exp_block(block, i0, x, seg.ids(), seg_max);
     });
     let e: &[f32] = out;
@@ -1444,7 +1453,7 @@ fn softmax_column(
         }
     });
     let seg_sum: &[f32] = seg_sum;
-    parallel::for_each_row_block_mut(out, 1, 16, |i0, block| {
+    parallel::for_each_row_block_mut(out, 1, kernels::STREAM_WORK, |i0, block| {
         kernels::softmax_div_block(block, i0, seg.ids(), seg_sum);
     });
 }
@@ -1472,7 +1481,9 @@ fn softmax_column_backward(
         }
     });
     let seg_dot: &[f32] = seg_dot;
-    parallel::for_each_row_block_mut(out, 1, 4, |r0, block| {
+    // The segment dot walks ~1 member per ns (its 2 flops per member stand);
+    // this gathered update takes 2–3 ns per element.
+    parallel::for_each_row_block_mut(out, 1, 2, |r0, block| {
         for (br, o) in block.iter_mut().enumerate() {
             let r = r0 + br;
             *o = y[r] * (g[r] - seg_dot[seg[r]]);
@@ -1524,8 +1535,10 @@ fn edge_attention_backward(
     g.zip_into(y, &mut g_agg, |gi, x| if x > 0.0 { gi } else { 0.0 });
 
     // dα[h][i] = g_agg[dst_i] · K_h[i] (mul_col_broadcast's `Iterator::sum`).
+    // Work estimates below are serial rates measured like the forward's:
+    // the dots and the dK rows run at about 2 flops/ns, the rest at about 1.
     let mut g_alpha = lease_zeros(arena, heads, e);
-    parallel::for_each_row_block_mut(g_alpha.data_mut(), 1, 2 * hd, |j0, block| {
+    parallel::for_each_row_block_mut(g_alpha.data_mut(), 1, hd, |j0, block| {
         for (bj, o) in block.iter_mut().enumerate() {
             let (h, i) = ((j0 + bj) / e, (j0 + bj) % e);
             let cols = h * hd..(h + 1) * hd;
@@ -1618,7 +1631,7 @@ fn edge_attention_backward(
         // gradient arrived first, the matmul one was added onto it.
         let mut gk = lease_zeros(arena, e, d);
         let (al, mm) = (alpha.data(), g_kmm.data());
-        parallel::for_each_row_block_mut(gk.data_mut(), d, 2 * d, |i0, block| {
+        parallel::for_each_row_block_mut(gk.data_mut(), d, d, |i0, block| {
             for (bi, row) in block.chunks_mut(d).enumerate() {
                 let i = i0 + bi;
                 let ga_row = g_agg.row_slice(dst_ids[i]);

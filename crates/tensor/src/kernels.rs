@@ -566,6 +566,22 @@ pub fn adam_update_chunk(w: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32],
     }
 }
 
+/// Per-element work of [`softmax_exp_block`] for the parallel planner,
+/// whose split threshold assumes about 1 flop/ns (as for the matmul's
+/// `row_work`). The pass's ~32 flops per element ran at 13–27 flops/ns on
+/// the 8-wide path and 3–3.4 on the scalar one (2-core AVX-512 Xeon, 12k
+/// and 48k edges), so they are divided by 16 or 4. The split is
+/// output-partitioned, so this moves no bits.
+pub(crate) fn softmax_exp_work() -> usize {
+    32 / if simd::active() { 16 } else { 4 }
+}
+
+/// Per-element work of [`softmax_div_block`] and [`adam_update_chunk`] for
+/// the parallel planner: about 16 flops each, which ran at 12–28 flops/ns
+/// on every tier (both passes are bound by memory traffic, not arithmetic),
+/// so 16 / 16.
+pub(crate) const STREAM_WORK: usize = 1;
+
 /// Segment-softmax exp pass over one contiguous row block (rows
 /// `i0 .. i0 + out.len()` of the `E x 1` score column):
 /// `out[j] = exp_det(x[i0 + j] - seg_max[segs[i0 + j]])`.

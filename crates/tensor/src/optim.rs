@@ -178,7 +178,7 @@ impl Optimizer for Adam {
                 value.data_mut(),
                 m.data_mut(),
                 v.data_mut(),
-                16,
+                kernels::STREAM_WORK,
                 |off, ws, ms, vs| {
                     kernels::adam_update_chunk(ws, ms, vs, &grad[off..off + ws.len()], &consts);
                 },
