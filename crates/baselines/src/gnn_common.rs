@@ -4,7 +4,7 @@
 
 use siterec_graphs::SiteRecTask;
 use siterec_obs as obs;
-use siterec_tensor::checkpoint::{self, ByteReader, ByteWriter, CheckpointPolicy, TrainState};
+use siterec_tensor::checkpoint::{self, ByteReader, ByteWriter, CheckpointPolicy, StateRef};
 use siterec_tensor::nn::{Embedding, Linear};
 use siterec_tensor::optim::{Adam, Optimizer};
 use siterec_tensor::{
@@ -54,7 +54,7 @@ impl NodeSet {
         let id = self.emb.all(binds);
         match (&self.feat, &self.proj) {
             (Some(f), Some(p)) => {
-                let fc = g.constant(f.clone());
+                let fc = g.constant_ref(f);
                 let cat = g.concat_cols(&[id, fc]);
                 let lin = p.forward(g, binds, cat);
                 g.relu(lin)
@@ -360,14 +360,15 @@ impl TrainLoop {
             losses.push(loss_v);
             if let Some(policy) = ckpt {
                 if policy.due(epoch, self.epochs) {
-                    let state = TrainState {
-                        model: self.name.to_string(),
+                    let history = encode_losses(&losses);
+                    let state = StateRef {
+                        model: self.name,
                         seed: self.seed,
                         next_epoch: epoch + 1,
-                        params: ps.clone(),
-                        opt: opt.clone(),
-                        guard: guard.clone(),
-                        user: encode_losses(&losses),
+                        params: ps,
+                        opt: &opt,
+                        guard: &guard,
+                        user: &history,
                     };
                     if let Err(e) = checkpoint::save(policy, &state) {
                         // Best-effort: a lost write only widens the replay

@@ -209,6 +209,38 @@ mod tests {
     use siterec_sim::{O2oDataset, SimConfig};
 
     #[test]
+    fn the_training_pool_stops_growing_after_the_first_epoch() {
+        // RGCN's epochs on the shared loop's arena: every epoch tape leases
+        // the same buffers, so once the first epoch has filled the pool it
+        // neither allocates nor takes in a fresh buffer.
+        let d = O2oDataset::generate(SimConfig::tiny(95));
+        let task = SiteRecTask::build(&d, 0.8, 6);
+        let mut m = Rgcn::new(Setting::Adaption, 4);
+        m.epochs = 1;
+        m.fit(&task);
+        let mut state = m.state.take().unwrap();
+        let mut ps = std::mem::replace(&mut state.ps, ParamStore::new(0));
+        let triples = crate::common::train_triples(&task);
+        let targets = Tensor::column(&triples.iter().map(|t| t.2).collect::<Vec<f32>>());
+        let mut seen = Vec::new();
+        TrainLoop {
+            epochs: 6,
+            ..Default::default()
+        }
+        .run(&mut ps, |g, binds| {
+            // Read as each epoch starts: the pool the previous epoch left.
+            let s = g.arena().expect("the loop's tapes lease").stats();
+            seen.push((s.bytes, s.misses));
+            let pred = Rgcn::forward(&state, g, binds, &state.sa_s, &state.sa_a);
+            g.mse_loss(pred, &targets)
+        });
+        assert!(
+            seen[1..].iter().all(|&s| s == seen[1]),
+            "bytes/misses moved after epoch 1: {seen:?}"
+        );
+    }
+
+    #[test]
     fn rgcn_learns_interactions() {
         // Average over a few dataset seeds: a single tiny-scale draw is too
         // noisy to gate on, regardless of which RNG stream backs StdRng.

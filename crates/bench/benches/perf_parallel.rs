@@ -28,7 +28,7 @@ use siterec_eval::{effective_fanout_threads, run_jobs};
 use siterec_graphs::SiteRecTask;
 use siterec_sim::{O2oDataset, SimConfig};
 use siterec_tensor::parallel::effective_kernel_workers;
-use siterec_tensor::{Graph, Index, Init, ParamStore, Tensor};
+use siterec_tensor::{Graph, Index, Init, ParamStore, TapeArena, Tensor};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -81,6 +81,12 @@ fn bench_kernels(reps: usize, scale: usize) -> Vec<Row> {
     let w = ps.add("w", 256 * scale, 256 * scale, Init::XavierUniform);
     let adam_target = Tensor::zeros(256 * scale, 256 * scale);
 
+    // The tapes lease from one pool, as training's do: after the warm-up
+    // run every rep reuses the buffers the previous one returned instead of
+    // faulting in fresh pages.
+    let arena = TapeArena::new();
+    let tape = || Graph::with_seed_and_arena(Graph::DEFAULT_SEED, arena.clone());
+
     let mut rows = vec![
         Row {
             name: "matmul",
@@ -108,8 +114,8 @@ fn bench_kernels(reps: usize, scale: usize) -> Vec<Row> {
             black_box(a.matmul(&b));
         }));
         rows[1].secs.push(time_median(reps, || {
-            let mut g = Graph::new();
-            let emb = g.param(emb0.clone());
+            let mut g = tape();
+            let emb = g.param_ref(&emb0);
             let hs = g.gather_rows(emb, &src);
             let ht = g.gather_rows(emb, &dst);
             let s = g.row_dot(hs, ht);
@@ -124,7 +130,7 @@ fn bench_kernels(reps: usize, scale: usize) -> Vec<Row> {
             use siterec_tensor::optim::{Adam, Optimizer};
             let mut opt = Adam::new(1e-3);
             for _ in 0..3 {
-                let mut g = Graph::new();
+                let mut g = tape();
                 let binds = ps.bind(&mut g);
                 let y = g.tanh(binds.var(w));
                 let loss = g.mse_loss(y, &adam_target);

@@ -9,7 +9,7 @@ use siterec_geo::Period;
 use siterec_graphs::{HeteroGraph, SiteRecTask};
 use siterec_obs as obs;
 use siterec_sim::O2oDataset;
-use siterec_tensor::checkpoint::{self, ByteReader, ByteWriter, CheckpointPolicy, TrainState};
+use siterec_tensor::checkpoint::{self, ByteReader, ByteWriter, CheckpointPolicy, StateRef};
 use siterec_tensor::optim::{Adam, Optimizer};
 use siterec_tensor::{
     record_recovery, record_train_error, retry_seed, ArenaStats, Bindings, Graph, Index,
@@ -228,6 +228,12 @@ impl O2SiteRec {
     /// essentially never.
     pub fn arena_stats(&self) -> ArenaStats {
         self.arena.stats()
+    }
+
+    /// A shared handle to the model's tape arena, for watching its
+    /// counters while the model trains (from a per-epoch callback, say).
+    pub fn arena(&self) -> TapeArena {
+        self.arena.clone()
     }
 
     /// An evaluation-mode tape. With `cfg.arena` set it leases from the
@@ -457,14 +463,15 @@ impl O2SiteRec {
             self.history.push(rec);
             if let Some(policy) = ckpt {
                 if policy.due(epoch, self.cfg.epochs) {
-                    let state = TrainState {
-                        model: MODEL_NAME.to_string(),
+                    let history = encode_history(&self.history);
+                    let state = StateRef {
+                        model: MODEL_NAME,
                         seed: self.cfg.seed,
                         next_epoch: epoch + 1,
-                        params: self.ps.clone(),
-                        opt: opt.clone(),
-                        guard: guard.clone(),
-                        user: encode_history(&self.history),
+                        params: &self.ps,
+                        opt: &opt,
+                        guard: &guard,
+                        user: &history,
                     };
                     if let Err(e) = checkpoint::save(policy, &state) {
                         // Best-effort durability: a failed write only means a

@@ -421,8 +421,8 @@ impl HeteroModel {
         let mean_agg = self.cfg.variant == Variant::WithoutNodeAttention;
 
         // Step 1: node attribute fusion (shared across periods).
-        let s_feat = g.constant(self.s_feat.clone());
-        let u_feat = g.constant(self.u_feat.clone());
+        let s_feat = g.constant_ref(&self.s_feat);
+        let u_feat = g.constant_ref(&self.u_feat);
         let s_id = self.emb_s.all(binds);
         let u_id = self.emb_u.all(binds);
         let s_in = g.concat_cols(&[s_id, s_feat]);
@@ -444,7 +444,7 @@ impl HeteroModel {
             let su_attr = if ps_struct.su_srcs.is_empty() {
                 None
             } else {
-                let base = g.constant(ps_struct.su_attr.clone());
+                let base = g.constant_ref(&ps_struct.su_attr);
                 match capacity {
                     Some(caps) if self.capacity_dim > 0 => {
                         let b_t = caps[pi];
@@ -458,12 +458,12 @@ impl HeteroModel {
             let ua_attr = if ps_struct.ua_srcs.is_empty() {
                 None
             } else {
-                Some(g.constant(ps_struct.ua_attr.clone()))
+                Some(g.constant_ref(&ps_struct.ua_attr))
             };
             let sa_attr = if self.sa.s.is_empty() {
                 None
             } else {
-                Some(g.constant(self.sa.attr.clone()))
+                Some(g.constant_ref(&self.sa.attr))
             };
 
             // Step 3: l rounds of node-level aggregation (Eqs. 7-9).

@@ -93,6 +93,37 @@ fn predict_after_training_reuses_the_pool_and_keeps_its_bits() {
 }
 
 #[test]
+fn the_pool_stops_growing_after_the_first_epoch() {
+    // From the second epoch on, every lease finds the exact buffer the
+    // previous epoch returned: nothing is allocated, and no fresh buffer
+    // (a per-epoch copy of a constant, say) is recycled into the pool.
+    // Evaluation tapes then lease from the same buffers.
+    let (d, t) = task();
+    let dir = std::env::temp_dir().join(format!("siterec_arena_flat_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut m = O2SiteRec::new(&d, &t, tiny_cfg(true));
+    let arena = m.arena();
+    let mut seen = Vec::new();
+    m.try_train_resumable_with(&CheckpointPolicy::new(&dir), |_| {
+        let s = arena.stats();
+        seen.push((s.bytes, s.misses));
+    })
+    .unwrap();
+    assert_eq!(seen.len(), 6);
+    assert!(
+        seen[1..].iter().all(|&s| s == seen[0]),
+        "bytes/misses moved after epoch 1: {seen:?}"
+    );
+    let pairs: Vec<(usize, usize)> = t.split.test.iter().map(|i| (i.region, i.ty)).collect();
+    for _ in 0..2 {
+        m.predict(&pairs);
+        let s = m.arena_stats();
+        assert_eq!((s.bytes, s.misses), seen[0], "predict grew the pool");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn resume_works_across_an_arena_setting_flip() {
     // A checkpoint written by a malloc-per-epoch run must resume bit-exactly
     // under a pooled run (and the result must match a run that was pooled

@@ -801,7 +801,12 @@ fn handle_connection(sh: &Shared, stream: TcpStream) -> io::Result<()> {
             }
             Err(e) => return Err(e),
         };
-        let close = req.wants_close();
+        // Whether a drain ends this connection is settled now, before the
+        // response leaves: a drain that begins once the client has its
+        // answer must not close the socket under the client's next request.
+        // That request is read and refused with 503 instead, or the idle
+        // poll above closes the connection.
+        let close = req.wants_close() || sh.stopping() || sh.draining();
         let scoring = is_scoring_endpoint(http::split_path_query(&req.path).0);
         // Causal tracing: adopt the client's `X-Request-Id` or mint one, and
         // decide *now* (deterministic arrival-order counter, never wall
@@ -872,7 +877,9 @@ fn handle_connection(sh: &Shared, stream: TcpStream) -> io::Result<()> {
                 sh.stop();
             }
         }
-        if close || sh.stopping() || sh.draining() {
+        // A plain stop is abrupt: the connection closes as soon as its
+        // current response is out. A drain's own closing stop is not.
+        if close || (sh.stopping() && !sh.draining()) {
             return Ok(());
         }
     }

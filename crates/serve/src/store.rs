@@ -160,7 +160,7 @@ impl EmbeddingStore {
     ///
     /// Queries are grouped by period selector; every group replays the
     /// offline scoring-tail ops ([`gather_period_pairs`] + [`score_tail`])
-    /// over the stored constants. All tail ops are row-independent with a
+    /// over the queried rows of the stored tables. All tail ops are row-independent with a
     /// fixed accumulation order, so the returned bits do not depend on batch
     /// composition, batch order, or the kernel thread count.
     pub fn score_batch(&self, queries: &[Query]) -> Vec<f32> {
@@ -183,31 +183,30 @@ impl EmbeddingStore {
             } else {
                 vec![sel]
             };
-            let ss = Index::new(
-                group.iter().map(|&(_, s, _)| s).collect(),
-                self.export.h[0].rows(),
-            );
-            let aa = Index::new(
-                group.iter().map(|&(_, _, a)| a).collect(),
-                self.export.q[0].rows(),
-            );
+            // Only the queried rows enter the tape: each period's table
+            // rows are gathered out of the borrowed export, and the tail's
+            // own gather then runs over an identity index, so the recorded
+            // ops (and bits) are the offline ones.
+            let ss: Vec<usize> = group.iter().map(|&(_, s, _)| s).collect();
+            let aa: Vec<usize> = group.iter().map(|&(_, _, a)| a).collect();
+            let rows = Index::new((0..group.len()).collect(), group.len());
             let mut g = Graph::new();
             g.training = false;
             let hs: Vec<_> = periods
                 .iter()
-                .map(|&p| g.constant(self.export.h[p].clone()))
+                .map(|&p| g.constant(self.export.h[p].gather_rows(&ss)))
                 .collect();
             let qs: Vec<_> = periods
                 .iter()
-                .map(|&p| g.constant(self.export.q[p].clone()))
+                .map(|&p| g.constant(self.export.q[p].gather_rows(&aa)))
                 .collect();
             let w = TailVars {
-                wk: g.constant(self.export.wk.clone()),
-                wq: g.constant(self.export.wq.clone()),
-                pred_w: g.constant(self.export.pred_w.clone()),
-                pred_b: g.constant(self.export.pred_b.clone()),
+                wk: g.constant_ref(&self.export.wk),
+                wq: g.constant_ref(&self.export.wq),
+                pred_w: g.constant_ref(&self.export.pred_w),
+                pred_b: g.constant_ref(&self.export.pred_b),
             };
-            let per_period = gather_period_pairs(&mut g, &hs, &qs, &ss, &aa);
+            let per_period = gather_period_pairs(&mut g, &hs, &qs, &rows, &rows);
             let pred = score_tail(&mut g, &self.tail_spec(), &w, &per_period);
             let values = g.value(pred);
             for (j, &(slot, _, _)) in group.iter().enumerate() {

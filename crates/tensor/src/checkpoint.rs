@@ -183,54 +183,92 @@ impl From<DecodeError> for CheckpointError {
     }
 }
 
-fn section(out: &mut Writer, name: &str, payload: &[u8]) {
-    out.str(name);
-    out.u64(payload.len() as u64);
-    out.u32(crc32(payload));
-    // Raw append: the length prefix above already delimits the payload.
-    out.raw(payload);
+/// The parts of a checkpoint, borrowed from a live training loop:
+/// [`encode_state`] and [`save`] write them without copying the loop's
+/// parameters, optimizer or guard.
+#[derive(Debug, Clone, Copy)]
+pub struct StateRef<'a> {
+    /// Model name, as [`TrainState::model`].
+    pub model: &'a str,
+    /// Run seed, as [`TrainState::seed`].
+    pub seed: u64,
+    /// Resume epoch, as [`TrainState::next_epoch`].
+    pub next_epoch: usize,
+    /// Live parameters, as [`TrainState::params`].
+    pub params: &'a ParamStore,
+    /// Optimizer state, as [`TrainState::opt`].
+    pub opt: &'a Adam,
+    /// Guard state, as [`TrainState::guard`].
+    pub guard: &'a TrainGuard,
+    /// Training-loop payload, as [`TrainState::user`].
+    pub user: &'a [u8],
 }
 
-/// Encode a [`TrainState`] into the version-1 checkpoint byte format.
-pub fn encode_state(state: &TrainState) -> Vec<u8> {
-    let mut meta = Writer::new();
-    meta.str(&state.model);
-    meta.u64(state.seed);
-    meta.usize(state.next_epoch);
+impl TrainState {
+    /// This state's parts, borrowed for [`encode_state`] or [`save`].
+    pub fn parts(&self) -> StateRef<'_> {
+        StateRef {
+            model: &self.model,
+            seed: self.seed,
+            next_epoch: self.next_epoch,
+            params: &self.params,
+            opt: &self.opt,
+            guard: &self.guard,
+            user: &self.user,
+        }
+    }
+}
 
-    let mut params = Writer::new();
-    state.params.encode(&mut params);
+/// Write one section: its name, a length and CRC placeholder, the payload
+/// straight from `body`, then the length and CRC back-patched.
+fn section(out: &mut Writer, name: &str, body: impl FnOnce(&mut Writer)) {
+    out.str(name);
+    let head = out.len();
+    out.u64(0);
+    out.u32(0);
+    let start = out.len();
+    body(out);
+    let len = out.len() - start;
+    out.patch(head, &(len as u64).to_le_bytes());
+    // A sizing writer holds no payload to checksum.
+    if let Some(payload) = out.as_bytes().get(start..) {
+        let crc = crc32(payload);
+        out.patch(head + 8, &crc.to_le_bytes());
+    }
+}
 
-    let mut adam = Writer::new();
-    state.opt.encode(&mut adam);
-
-    // The full derivation state of every RNG stream in a run: per-epoch
-    // graph seeds are pure functions of (seed, epoch, attempt).
-    let mut rng = Writer::new();
-    rng.u64(state.seed);
-    rng.usize(state.next_epoch);
-    rng.usize(state.guard.attempt(state.next_epoch));
-
-    let mut guard = Writer::new();
-    state.guard.encode(&mut guard);
-
-    let sections: [(&str, &[u8]); 6] = [
-        ("meta", meta.as_bytes()),
-        ("params", params.as_bytes()),
-        ("adam", adam.as_bytes()),
-        ("rng", rng.as_bytes()),
-        ("guard", guard.as_bytes()),
-        ("user", &state.user),
-    ];
-
-    let mut out = Writer::new();
+fn write_state(out: &mut Writer, s: &StateRef<'_>) {
     out.raw(MAGIC);
     out.u32(VERSION);
-    out.u32(sections.len() as u32);
-    for (name, payload) in sections {
-        section(&mut out, name, payload);
-    }
-    out.into_bytes()
+    out.u32(6); // the six sections below
+    section(out, "meta", |w| {
+        w.str(s.model);
+        w.u64(s.seed);
+        w.usize(s.next_epoch);
+    });
+    section(out, "params", |w| s.params.encode(w));
+    section(out, "adam", |w| s.opt.encode(w));
+    // The full derivation state of every RNG stream in a run: per-epoch
+    // graph seeds are pure functions of (seed, epoch, attempt).
+    section(out, "rng", |w| {
+        w.u64(s.seed);
+        w.usize(s.next_epoch);
+        w.usize(s.guard.attempt(s.next_epoch));
+    });
+    section(out, "guard", |w| s.guard.encode(w));
+    section(out, "user", |w| w.raw(s.user));
+}
+
+/// Encode a checkpoint into the version-1 byte format: one sizing pass,
+/// then every section written straight into one exactly sized buffer.
+pub fn encode_state(state: &StateRef<'_>) -> Vec<u8> {
+    let mut sizer = Writer::sizer();
+    write_state(&mut sizer, state);
+    let mut out = Writer::with_capacity(sizer.len());
+    write_state(&mut out, state);
+    let bytes = out.into_bytes();
+    debug_assert_eq!((bytes.len(), bytes.capacity()), (sizer.len(), sizer.len()));
+    bytes
 }
 
 /// Decode a checkpoint produced by [`encode_state`], verifying magic,
@@ -359,7 +397,7 @@ fn generation_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
 /// Write `state` as the newest checkpoint generation under `policy.dir`,
 /// atomically, then prune generations beyond `policy.generations`. Journals
 /// a `checkpoint_write` record. Returns the path written.
-pub fn save(policy: &CheckpointPolicy, state: &TrainState) -> io::Result<PathBuf> {
+pub fn save(policy: &CheckpointPolicy, state: &StateRef<'_>) -> io::Result<PathBuf> {
     std::fs::create_dir_all(&policy.dir)?;
     let bytes = encode_state(state);
     let path = policy.dir.join(file_name(state.next_epoch));
@@ -387,7 +425,7 @@ pub fn save(policy: &CheckpointPolicy, state: &TrainState) -> io::Result<PathBuf
     })?;
     obs::record!(
         "checkpoint_write",
-        model = state.model.as_str(),
+        model = state.model,
         path = path.display().to_string(),
         epoch = state.next_epoch,
         bytes = bytes.len(),
@@ -502,10 +540,10 @@ mod tests {
         }
         // Re-encoding must reproduce the identical bytes (deep equality of
         // opt and guard included).
-        assert_eq!(encode_state(a), encode_state(b));
+        assert_eq!(encode_state(&a.parts()), encode_state(&b.parts()));
     }
 
-    /// FNV-1a-64 and length of `encode_state(&seeded_state())` as the
+    /// FNV-1a-64 and length of `encode_state(&seeded_state().parts())` as the
     /// byte-at-a-time encoder wrote it (a bytewise CRC32, one `f32` write
     /// per tensor element, one push per section byte), recorded before the
     /// bulk paths replaced it.
@@ -543,7 +581,7 @@ mod tests {
 
     #[test]
     fn encoding_is_byte_identical_to_the_bytewise_encoder() {
-        let bytes = encode_state(&seeded_state());
+        let bytes = encode_state(&seeded_state().parts());
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for &b in &bytes {
             h ^= u64::from(b);
@@ -558,10 +596,76 @@ mod tests {
         );
     }
 
+    /// FNV-1a-64 and length of the `SRCKPT1` bytes of [`trained_state`],
+    /// recorded with the per-section-buffer writer before the one-buffer
+    /// writer replaced it.
+    const SECTION_BUFFER_WRITER_FNV: u64 = 0xddcf_a305_40ae_58d5;
+    const SECTION_BUFFER_WRITER_LEN: usize = 20_962;
+
+    /// A state whose guard has distinct current and previous snapshots and a
+    /// recovery event in its trace: three commits around one rollback.
+    fn trained_state() -> TrainState {
+        use crate::optim::Optimizer;
+        use crate::resilience::Fault;
+        let mut ps = ParamStore::new(2026);
+        ps.add("emb", 29, 12, Init::XavierUniform);
+        ps.add("w", 12, 5, Init::XavierUniform);
+        ps.add("b", 1, 5, Init::Zeros);
+        let mut opt = Adam::new(0.02);
+        let mut guard = TrainGuard::new(GuardConfig::default(), &ps, &opt);
+        let step = |ps: &mut ParamStore, opt: &mut Adam, k: usize| {
+            for (i, p) in ps.iter_mut().enumerate() {
+                for (j, g) in p.grad.data_mut().iter_mut().enumerate() {
+                    *g = ((k * 613 + i * 17 + j) as f32).cos();
+                }
+            }
+            opt.step(ps);
+        };
+        step(&mut ps, &mut opt, 0);
+        guard.commit(0, 1.5, &ps, &opt);
+        step(&mut ps, &mut opt, 1);
+        guard.commit(1, 1.25, &ps, &opt);
+        let resume = guard
+            .recover(2, Fault::NonFiniteLoss(f32::NAN), &mut ps, &mut opt)
+            .unwrap();
+        step(&mut ps, &mut opt, 2);
+        guard.commit(resume, 1.0, &ps, &opt);
+        TrainState {
+            model: "trained".into(),
+            seed: 2026,
+            next_epoch: resume + 1,
+            params: ps,
+            opt,
+            guard,
+            user: (0..97u8).rev().collect(),
+        }
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    #[test]
+    fn encoding_is_byte_identical_to_the_section_buffer_writer() {
+        let bytes = encode_state(&trained_state().parts());
+        assert_eq!(
+            (format!("{:#018x}", fnv1a(&bytes)), bytes.len()),
+            (
+                format!("{SECTION_BUFFER_WRITER_FNV:#018x}"),
+                SECTION_BUFFER_WRITER_LEN
+            )
+        );
+    }
+
     #[test]
     fn encode_decode_roundtrip() {
         let s = state(5, 1.25);
-        let bytes = encode_state(&s);
+        let bytes = encode_state(&s.parts());
         assert_eq!(&bytes[..8], MAGIC);
         let back = decode_state(&bytes).unwrap();
         assert_states_equal(&s, &back);
@@ -570,7 +674,7 @@ mod tests {
     #[test]
     fn bad_magic_and_version_are_corrupt() {
         let s = state(1, 1.0);
-        let mut bytes = encode_state(&s);
+        let mut bytes = encode_state(&s.parts());
         let mut wrong = bytes.clone();
         wrong[0] ^= 0xFF;
         assert!(matches!(
@@ -590,7 +694,7 @@ mod tests {
         // require decode to fail (or, if it succeeds, to decode to the
         // original state — impossible here since every byte is load-bearing).
         let s = state(3, 0.5);
-        let bytes = encode_state(&s);
+        let bytes = encode_state(&s.parts());
         for i in 0..bytes.len() {
             let mut m = bytes.clone();
             m[i] ^= 0x01;
@@ -600,7 +704,7 @@ mod tests {
                 // rename surfaces as a missing section. Reaching here at all
                 // is therefore a real detection failure.
                 assert_eq!(
-                    encode_state(&back),
+                    encode_state(&back.parts()),
                     bytes,
                     "bit flip at byte {i} went undetected"
                 );
@@ -611,7 +715,7 @@ mod tests {
     #[test]
     fn truncation_at_any_point_is_corrupt() {
         let s = state(2, 2.0);
-        let bytes = encode_state(&s);
+        let bytes = encode_state(&s.parts());
         for cut in [0, 4, 8, 12, bytes.len() / 2, bytes.len() - 1] {
             assert!(
                 decode_state(&bytes[..cut]).is_err(),
@@ -625,7 +729,7 @@ mod tests {
         let d = tmpdir("gens");
         let policy = CheckpointPolicy::new(&d).generations(2);
         for e in 1..=4 {
-            save(&policy, &state(e, e as f32)).unwrap();
+            save(&policy, &state(e, e as f32).parts()).unwrap();
         }
         let files = generation_files(&d).unwrap();
         assert_eq!(files.len(), 2, "pruning keeps exactly 2 generations");
@@ -638,8 +742,8 @@ mod tests {
     fn corrupt_newest_falls_back_to_previous_generation() {
         let d = tmpdir("fallback");
         let policy = CheckpointPolicy::new(&d);
-        save(&policy, &state(1, 1.0)).unwrap();
-        save(&policy, &state(2, 2.0)).unwrap();
+        save(&policy, &state(1, 1.0).parts()).unwrap();
+        save(&policy, &state(2, 2.0).parts()).unwrap();
         // Torn write: truncate the newest file.
         let newest = d.join(file_name(2));
         let full = std::fs::read(&newest).unwrap();

@@ -89,7 +89,7 @@ mod wire;
 
 pub use arena::{ArenaStats, TapeArena};
 pub use checkpoint::{
-    load_latest, save as save_checkpoint, CheckpointError, CheckpointPolicy, TrainState,
+    load_latest, save as save_checkpoint, CheckpointError, CheckpointPolicy, StateRef, TrainState,
 };
 pub use gradcheck::{check_input_grad, GradCheck};
 pub use graph::{Graph, Var};

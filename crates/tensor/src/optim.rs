@@ -45,7 +45,7 @@ impl Optimizer for Sgd {
 }
 
 /// Adam (Kingma & Ba, 2015) — the optimizer the paper trains with.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Adam {
     /// Learning rate (paper: 1e-4).
     pub lr: f32,
@@ -60,6 +60,26 @@ pub struct Adam {
     t: u64,
     m: Vec<Tensor>,
     v: Vec<Tensor>,
+}
+
+impl Clone for Adam {
+    fn clone(&self) -> Self {
+        let mut a = Adam::new(self.lr);
+        a.clone_from(self);
+        a
+    }
+
+    /// Copies into `self`'s moment tensors, reusing their buffers.
+    fn clone_from(&mut self, src: &Self) {
+        self.lr = src.lr;
+        self.beta1 = src.beta1;
+        self.beta2 = src.beta2;
+        self.eps = src.eps;
+        self.weight_decay = src.weight_decay;
+        self.t = src.t;
+        self.m.clone_from(&src.m);
+        self.v.clone_from(&src.v);
+    }
 }
 
 impl Adam {

@@ -17,7 +17,7 @@ use rand::SeedableRng;
 pub struct ParamId(pub usize);
 
 /// One named, trainable tensor plus its accumulated gradient.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Param {
     /// Human-readable name (used in debugging / serialization).
     pub name: String,
@@ -27,11 +27,43 @@ pub struct Param {
     pub grad: Tensor,
 }
 
+impl Clone for Param {
+    fn clone(&self) -> Self {
+        Param {
+            name: self.name.clone(),
+            value: self.value.clone(),
+            grad: self.grad.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.name.clone_from(&src.name);
+        self.value.clone_from(&src.value);
+        self.grad.clone_from(&src.grad);
+    }
+}
+
 /// A flat collection of model parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ParamStore {
     params: Vec<Param>,
     rng: StdRng,
+}
+
+impl Clone for ParamStore {
+    fn clone(&self) -> Self {
+        ParamStore {
+            params: self.params.clone(),
+            rng: self.rng.clone(),
+        }
+    }
+
+    /// Copies into `self`'s tensors, reusing their buffers: the rollback
+    /// snapshots of [`crate::TrainGuard`] are refreshed this way every epoch.
+    fn clone_from(&mut self, src: &Self) {
+        self.params.clone_from(&src.params);
+        self.rng.clone_from(&src.rng);
+    }
 }
 
 /// The tape-local handles produced by [`ParamStore::bind`], indexed by

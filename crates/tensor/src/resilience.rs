@@ -341,14 +341,14 @@ impl TrainGuard {
         if matches!(fault, Fault::LossExplosion { .. }) {
             // Drop the culprit commit: collapse both checkpoints onto the
             // penultimate one and redo its epoch at the decayed rate.
-            self.ckpt_params = self.prev_params.clone();
-            self.ckpt_opt = self.prev_opt.clone();
+            self.ckpt_params.clone_from(&self.prev_params);
+            self.ckpt_opt.clone_from(&self.prev_opt);
             self.ckpt_epoch = self.prev_epoch;
             self.best_loss = self.prev_best;
         }
         let resume = self.ckpt_epoch.map_or(0, |e| e + 1);
-        *ps = self.ckpt_params.clone();
-        *opt = self.ckpt_opt.clone();
+        ps.clone_from(&self.ckpt_params);
+        opt.clone_from(&self.ckpt_opt);
         opt.lr = self.lr;
         self.events.push(RecoveryEvent {
             epoch,
@@ -437,8 +437,13 @@ impl TrainGuard {
     /// rollback target (keeping the previous one for explosion rollbacks)
     /// and update the best-loss reference.
     pub fn commit(&mut self, epoch: usize, loss: f32, ps: &ParamStore, opt: &Adam) {
-        self.prev_params = std::mem::replace(&mut self.ckpt_params, ps.clone());
-        self.prev_opt = std::mem::replace(&mut self.ckpt_opt, opt.clone());
+        // Rotate: the current snapshot becomes the previous one, and the
+        // retired previous one's buffers take the copy of the new state, so
+        // no third snapshot is ever allocated beside the two live ones.
+        std::mem::swap(&mut self.prev_params, &mut self.ckpt_params);
+        std::mem::swap(&mut self.prev_opt, &mut self.ckpt_opt);
+        self.ckpt_params.clone_from(ps);
+        self.ckpt_opt.clone_from(opt);
         self.prev_epoch = self.ckpt_epoch.replace(epoch);
         self.prev_best = self.best_loss;
         if loss < self.best_loss {

@@ -8,11 +8,28 @@
 use std::fmt;
 
 /// A dense row-major matrix of `f32`.
-#[derive(Clone, PartialEq)]
+#[derive(PartialEq)]
 pub struct Tensor {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
+}
+
+impl Clone for Tensor {
+    fn clone(&self) -> Self {
+        Tensor {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Copies into `self`'s buffer, which is reused when it is large enough.
+    fn clone_from(&mut self, src: &Self) {
+        self.rows = src.rows;
+        self.cols = src.cols;
+        self.data.clone_from(&src.data);
+    }
 }
 
 impl fmt::Debug for Tensor {

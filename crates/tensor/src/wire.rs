@@ -86,9 +86,15 @@ fn err<T>(msg: impl Into<String>) -> Result<T, DecodeError> {
 }
 
 /// Append-only byte writer for the checkpoint wire format.
+///
+/// A writer made by [`Writer::sizer`] stores nothing and only counts: run
+/// an encoder through one first, and [`Writer::with_capacity`] of its
+/// [`Writer::len`] holds the real pass without growing.
 #[derive(Debug, Default)]
 pub struct Writer {
     buf: Vec<u8>,
+    /// `Some(bytes counted)` on a sizing writer.
+    sized: Option<usize>,
 }
 
 impl Writer {
@@ -97,7 +103,28 @@ impl Writer {
         Writer::default()
     }
 
-    /// The bytes written so far.
+    /// Empty writer with room for `n` bytes.
+    pub(crate) fn with_capacity(n: usize) -> Writer {
+        Writer {
+            buf: Vec::with_capacity(n),
+            sized: None,
+        }
+    }
+
+    /// A writer that counts the bytes written to it and stores none.
+    pub(crate) fn sizer() -> Writer {
+        Writer {
+            buf: Vec::new(),
+            sized: Some(0),
+        }
+    }
+
+    /// Bytes written so far (counted, on a sizing writer).
+    pub(crate) fn len(&self) -> usize {
+        self.sized.unwrap_or(self.buf.len())
+    }
+
+    /// The bytes written so far (none on a sizing writer).
     pub fn as_bytes(&self) -> &[u8] {
         &self.buf
     }
@@ -107,19 +134,35 @@ impl Writer {
         self.buf
     }
 
+    /// Append raw bytes with no length prefix (the caller delimits them).
+    pub fn raw(&mut self, b: &[u8]) {
+        match &mut self.sized {
+            Some(n) => *n += b.len(),
+            None => self.buf.extend_from_slice(b),
+        }
+    }
+
+    /// Overwrite the bytes at `at` with `b`: the back-patch of a length or
+    /// checksum written as a placeholder. A no-op on a sizing writer.
+    pub(crate) fn patch(&mut self, at: usize, b: &[u8]) {
+        if self.sized.is_none() {
+            self.buf[at..at + b.len()].copy_from_slice(b);
+        }
+    }
+
     /// Write one byte.
     pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.raw(&[v]);
     }
 
     /// Write a little-endian `u32`.
     pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.raw(&v.to_le_bytes());
     }
 
     /// Write a little-endian `u64`.
     pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.raw(&v.to_le_bytes());
     }
 
     /// Write a `usize` as a `u64`.
@@ -135,18 +178,13 @@ impl Writer {
     /// Write a UTF-8 string: `u32` byte length + bytes.
     pub fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Append raw bytes with no length prefix (the caller delimits them).
-    pub fn raw(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
+        self.raw(s.as_bytes());
     }
 
     /// Write a length-prefixed byte blob: `u64` length + bytes.
     pub fn bytes(&mut self, b: &[u8]) {
         self.u64(b.len() as u64);
-        self.buf.extend_from_slice(b);
+        self.raw(b);
     }
 
     /// Write an optional epoch index: presence byte + `u64`.
@@ -164,6 +202,10 @@ impl Writer {
     pub fn tensor(&mut self, t: &Tensor) {
         self.usize(t.rows());
         self.usize(t.cols());
+        if let Some(n) = &mut self.sized {
+            *n += 4 * t.len();
+            return;
+        }
         // One resize, then a straight bit-copy loop: the same bytes as
         // `f32` per element without a capacity check per value.
         let start = self.buf.len();

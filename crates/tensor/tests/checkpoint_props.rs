@@ -96,7 +96,7 @@ fn assert_bit_identical(a: &TrainState, b: &TrainState) {
         assert_eq!(bits(&x.value), bits(&y.value));
         assert_eq!(bits(&x.grad), bits(&y.grad));
     }
-    assert_eq!(encode_state(a), encode_state(b));
+    assert_eq!(encode_state(&a.parts()), encode_state(&b.parts()));
 }
 
 proptest! {
@@ -112,7 +112,7 @@ proptest! {
         user in prop::collection::vec(0u8..=u8::MAX, 0..32),
     ) {
         let s = build_state(&shapes, &pool, steps, next_epoch, seed, user);
-        let bytes = encode_state(&s);
+        let bytes = encode_state(&s.parts());
         let back = decode_state(&bytes).unwrap();
         assert_bit_identical(&s, &back);
     }
@@ -127,7 +127,7 @@ proptest! {
     ) {
         let dir = tmpdir();
         let s = build_state(&shapes, &pool, steps, next_epoch, seed, vec![9, 9]);
-        save(&CheckpointPolicy::new(&dir), &s).unwrap();
+        save(&CheckpointPolicy::new(&dir), &s.parts()).unwrap();
         let back = load_latest(&dir).unwrap().expect("a checkpoint was just written");
         assert_bit_identical(&s, &back);
         let _ = std::fs::remove_dir_all(&dir);
@@ -142,7 +142,7 @@ proptest! {
         cut_frac in 0.0f64..1.0,
     ) {
         let s = build_state(&shapes, &pool, 1, 3, 7, vec![1]);
-        let bytes = encode_state(&s);
+        let bytes = encode_state(&s.parts());
         let cut = ((bytes.len() as f64) * cut_frac) as usize;
         match decode_state(&bytes[..cut.min(bytes.len() - 1)]) {
             Err(CheckpointError::Corrupt(_)) => {}
@@ -164,8 +164,8 @@ proptest! {
         let policy = CheckpointPolicy::new(&dir);
         let older = build_state(&[(2, 3)], &pool, 1, 4, 11, vec![4]);
         let newer = build_state(&[(2, 3)], &pool, 2, 5, 11, vec![5]);
-        save(&policy, &older).unwrap();
-        let newest_path = save(&policy, &newer).unwrap();
+        save(&policy, &older.parts()).unwrap();
+        let newest_path = save(&policy, &newer.parts()).unwrap();
 
         let mut bytes = std::fs::read(&newest_path).unwrap();
         let pos = (((bytes.len() as f64) * pos_frac) as usize).min(bytes.len() - 1);
@@ -195,7 +195,7 @@ fn all_generations_corrupt_exhausts_fallback_cleanly() {
     for e in 1..=3 {
         save(
             &policy,
-            &build_state(&[(2, 3)], &pool, 1, e, 13, vec![e as u8]),
+            &build_state(&[(2, 3)], &pool, 1, e, 13, vec![e as u8]).parts(),
         )
         .unwrap();
     }

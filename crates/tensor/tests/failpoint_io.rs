@@ -61,7 +61,7 @@ fn checkpoint_io_seams_heal_or_fall_back() {
         let dir = tmpdir(mode);
         let s = state(3, 1.25);
         obs::failpoint::arm(&format!("ckpt.write.fsync={mode}@1")).unwrap();
-        save(&CheckpointPolicy::new(&dir), &s).expect("retry heals the transient fault");
+        save(&CheckpointPolicy::new(&dir), &s.parts()).expect("retry heals the transient fault");
         let fired: u64 = obs::failpoint::stats().iter().map(|s| s.fired).sum();
         assert_eq!(fired, 1, "{mode}: fault fired once, the retry passed clean");
         assert!(
@@ -71,8 +71,8 @@ fn checkpoint_io_seams_heal_or_fall_back() {
         obs::failpoint::disarm();
         let back = load_latest(&dir).unwrap().expect("healed checkpoint loads");
         assert_eq!(
-            encode_state(&back),
-            encode_state(&s),
+            encode_state(&back.parts()),
+            encode_state(&s.parts()),
             "{mode}: healed write lost bits"
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -84,9 +84,9 @@ fn checkpoint_io_seams_heal_or_fall_back() {
     let dir = tmpdir("corrupt_write");
     let policy = CheckpointPolicy::new(&dir);
     let older = state(1, 2.0);
-    save(&policy, &older).unwrap();
+    save(&policy, &older.parts()).unwrap();
     obs::failpoint::arm("ckpt.write.fsync=corrupt@1").unwrap();
-    save(&policy, &state(2, 3.0)).expect("corrupting write reports success");
+    save(&policy, &state(2, 3.0).parts()).expect("corrupting write reports success");
     obs::failpoint::disarm();
     let back = load_latest(&dir)
         .unwrap()
@@ -95,7 +95,7 @@ fn checkpoint_io_seams_heal_or_fall_back() {
         back.next_epoch, 1,
         "corrupt newest generation must be skipped"
     );
-    assert_eq!(encode_state(&back), encode_state(&older));
+    assert_eq!(encode_state(&back.parts()), encode_state(&older.parts()));
     let _ = std::fs::remove_dir_all(&dir);
 
     // A short read truncates the newest generation in flight; the CRC turns
@@ -104,8 +104,8 @@ fn checkpoint_io_seams_heal_or_fall_back() {
     let dir = tmpdir("short_read");
     let policy = CheckpointPolicy::new(&dir);
     let older = state(4, 4.0);
-    save(&policy, &older).unwrap();
-    save(&policy, &state(5, 5.0)).unwrap();
+    save(&policy, &older.parts()).unwrap();
+    save(&policy, &state(5, 5.0).parts()).unwrap();
     obs::failpoint::arm("ckpt.read.section=short@1").unwrap();
     let back = load_latest(&dir)
         .unwrap()
@@ -115,7 +115,7 @@ fn checkpoint_io_seams_heal_or_fall_back() {
         back.next_epoch, 4,
         "short read of the newest must fall back"
     );
-    assert_eq!(encode_state(&back), encode_state(&older));
+    assert_eq!(encode_state(&back.parts()), encode_state(&older.parts()));
     let _ = std::fs::remove_dir_all(&dir);
 
     // Every firing above was journaled, schema-valid: 2 healed writes, 1

@@ -359,7 +359,7 @@ fn checkpoints_byte_identical_across_simd_and_scalar() {
     // equivalent to the scalar fallbacks, a checkpoint written after SIMD
     // training must be *byte-identical* to one written after forced-scalar
     // training of the same run.
-    use siterec_tensor::checkpoint::{encode_state, TrainState};
+    use siterec_tensor::checkpoint::{encode_state, StateRef};
     use siterec_tensor::resilience::{GuardConfig, TrainGuard};
     let _l = lock();
     let _g = ThreadGuard::set(8);
@@ -380,14 +380,14 @@ fn checkpoints_byte_identical_across_simd_and_scalar() {
             opt.step(&mut ps);
         }
         let guard = TrainGuard::new(GuardConfig::default(), &ps, &opt);
-        encode_state(&TrainState {
-            model: "simd-ab".into(),
+        encode_state(&StateRef {
+            model: "simd-ab",
             seed: 53,
             next_epoch: 4,
-            params: ps,
-            opt,
-            guard,
-            user: Vec::new(),
+            params: &ps,
+            opt: &opt,
+            guard: &guard,
+            user: &[],
         })
     };
     assert_eq!(
