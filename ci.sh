@@ -70,7 +70,7 @@ SITEREC_NO_SIMD=1 SITEREC_KERNEL_GATE=1 \
 mv target/ci_simd_kernels.json BENCH_kernels.json
 run env SITEREC_NO_SIMD=1 cargo test -q --release -p siterec-tensor \
     --test kernel_equivalence --test parallel_equivalence \
-    --test edge_attention_equivalence
+    --test edge_attention_equivalence --test linear_cat_equivalence
 run env SITEREC_NO_SIMD=1 cargo test -q --release -p siterec-core --test golden_bits
 run env SITEREC_NO_SIMD=1 cargo test -q --release -p siterec-baselines --test golden_bits
 # Multicore no-slowdown floor: at no thread count may any kernel run slower

@@ -3,7 +3,9 @@
 //! For each edge `(src -> dst)` of one relation (edge type):
 //!
 //! * the source embedding and edge attributes are fused:
-//!   `fused = σ(W [z_src, φ])` (Eq. 10's inner term);
+//!   `fused = σ(W [z_src, φ])` (Eq. 10's inner term), as one tape op,
+//!   [`Graph::linear_cat`], which multiplies each source node by its rows
+//!   of `W` once and gathers the products per edge;
 //! * per head `i`, key `K^i = W_k^i fused` and query `Q^i = W_q^i h_dst`;
 //! * the importance score is the bilinear form `K^i W_e Q^iᵀ` with `W_e`
 //!   shared by the edge type (Eq. 11), softmax-normalized over each
@@ -17,8 +19,8 @@
 //! The `w/o NA` ablation replaces all of this with a plain neighborhood mean
 //! of source embeddings ([`RelationAttention::forward_mean`]).
 
-use siterec_tensor::nn::Linear;
-use siterec_tensor::{Bindings, Graph, Index, Init, ParamId, ParamStore, Tensor, Var};
+use siterec_tensor::nn::{Activation, Linear};
+use siterec_tensor::{Bindings, CatBlock, Graph, Index, Init, ParamId, ParamStore, Tensor, Var};
 use std::sync::Arc;
 
 /// Multi-head attention parameters of one relation (edge type).
@@ -84,13 +86,14 @@ impl RelationAttention {
         if srcs.is_empty() {
             return g.constant(Tensor::zeros(dsts.n(), self.d));
         }
-        let src_g = g.gather_rows(src_emb, srcs);
-        let fuse_in = match attrs {
-            Some(a) => g.concat_cols(&[src_g, a]),
-            None => src_g,
-        };
-        let fused_lin = self.fuse.forward(g, binds, fuse_in);
-        let fused = g.relu(fused_lin); // σ(W[z, φ])
+        let src = CatBlock::Gather(src_emb, srcs);
+        let fused = match attrs {
+            Some(a) => {
+                self.fuse
+                    .forward_cat(g, binds, &[src, CatBlock::Plain(a)], Activation::Relu)
+            }
+            None => self.fuse.forward_cat(g, binds, &[src], Activation::Relu),
+        }; // σ(W[z, φ])
         let k_all = self.w_k.forward(g, binds, fused); // E x d
         let q_nodes = self.w_q.forward(g, binds, dst_emb); // n_dst x d
         let q_all = g.gather_rows(q_nodes, dsts); // E x d

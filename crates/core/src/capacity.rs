@@ -20,8 +20,8 @@
 //! consumed by Module 3.
 
 use siterec_graphs::{GeoGraph, MobilityGraph};
-use siterec_tensor::nn::{Embedding, Linear};
-use siterec_tensor::{Bindings, Graph, Index, Init, ParamId, ParamStore, Tensor, Var};
+use siterec_tensor::nn::{Activation, Embedding, Linear};
+use siterec_tensor::{Bindings, CatBlock, Graph, Index, Init, ParamId, ParamStore, Tensor, Var};
 use std::sync::Arc;
 
 /// Distance scale of the geographic softmax weights (the 800 m edge
@@ -194,18 +194,18 @@ impl CapacityModel {
                 let act = g.relu(agg);
                 g.add(act, b0) // σ(Σ α b) + b⁰
             };
-            let fused_in = g.concat_cols(&[bg, bs]);
-            let lin = self.w_b.forward(g, binds, fused_in);
-            let bt = g.relu(lin); // Eq. 5
+            let fused_in = [CatBlock::Plain(bg), CatBlock::Plain(bs)];
+            let bt = self.w_b.forward_cat(g, binds, &fused_in, Activation::Relu); // Eq. 5
             period_embeddings.push(bt);
 
             // --- reconstruction (Eq. 6) -----------------------------------
             if !mob.rec_srcs.is_empty() {
-                let bi = g.gather_rows(bt, &mob.rec_srcs);
-                let bj = g.gather_rows(bt, &mob.rec_dsts);
-                let em = g.concat_cols(&[bi, bj]);
-                let dt_lin = self.w_dt.forward(g, binds, em);
-                let dt_hat = g.sigmoid(dt_lin);
+                // em = [b_i, b_j] per reconstruction edge, fused into W_1.
+                let em = [
+                    CatBlock::Gather(bt, &mob.rec_srcs),
+                    CatBlock::Gather(bt, &mob.rec_dsts),
+                ];
+                let dt_hat = self.w_dt.forward_cat(g, binds, &em, Activation::Sigmoid);
                 let loss = g.l1_loss(dt_hat, &mob.targets);
                 o1_terms.push((loss, mob.rec_srcs.len()));
             }

@@ -18,8 +18,8 @@ use crate::attention::RelationAttention;
 use crate::config::{SiteRecConfig, Variant};
 use siterec_geo::Period;
 use siterec_graphs::HeteroGraph;
-use siterec_tensor::nn::{Embedding, Linear};
-use siterec_tensor::{Bindings, Graph, Index, ParamStore, Tensor, Var};
+use siterec_tensor::nn::{Activation, Embedding, Linear};
+use siterec_tensor::{Bindings, CatBlock, Graph, Index, ParamStore, Tensor, Var};
 use std::sync::Arc;
 
 /// Edge lists and constant attributes of one period's subgraph, reshaped for
@@ -425,12 +425,10 @@ impl HeteroModel {
         let u_feat = g.constant_ref(&self.u_feat);
         let s_id = self.emb_s.all(binds);
         let u_id = self.emb_u.all(binds);
-        let s_in = g.concat_cols(&[s_id, s_feat]);
-        let u_in = g.concat_cols(&[u_id, u_feat]);
-        let h0_lin = self.w_s0.forward(g, binds, s_in);
-        let mut h0 = g.relu(h0_lin);
-        let z0_lin = self.w_u0.forward(g, binds, u_in);
-        let mut z0 = g.relu(z0_lin);
+        let s_in = [CatBlock::Plain(s_id), CatBlock::Plain(s_feat)];
+        let u_in = [CatBlock::Plain(u_id), CatBlock::Plain(u_feat)];
+        let mut h0 = self.w_s0.forward_cat(g, binds, &s_in, Activation::Relu);
+        let mut z0 = self.w_u0.forward_cat(g, binds, &u_in, Activation::Relu);
         let mut q0 = self.emb_a.all(binds);
         h0 = g.dropout(h0, self.cfg.dropout);
         z0 = g.dropout(z0, self.cfg.dropout);

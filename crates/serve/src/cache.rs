@@ -16,7 +16,9 @@ pub const DEFAULT_CACHE_CAP: usize = 4096;
 /// Recency is a logical tick bumped on every hit and insert. Eviction is
 /// amortized: when the cache is full, the oldest eighth (at least one
 /// entry) is dropped in one sweep, so sustained insert cost stays near
-/// constant without a linked-list freelist.
+/// constant without a linked-list freelist. The sweep selects that eighth
+/// in linear time (ticks are unique, so the set is exact) rather than
+/// sorting every entry.
 #[derive(Debug)]
 pub struct ScoreCache {
     cap: usize,
@@ -62,9 +64,9 @@ impl ScoreCache {
         if self.map.len() >= self.cap && !self.map.contains_key(&q) {
             let evict = (self.cap / 8).max(1);
             let mut ages: Vec<(u64, Query)> = self.map.iter().map(|(k, &(t, _))| (t, *k)).collect();
-            ages.sort_unstable_by_key(|&(t, _)| t);
-            for (_, key) in ages.into_iter().take(evict) {
-                self.map.remove(&key);
+            ages.select_nth_unstable_by_key(evict - 1, |&(t, _)| t);
+            for (_, key) in &ages[..evict] {
+                self.map.remove(key);
             }
         }
         self.map.insert(q, (self.tick, score));
@@ -131,6 +133,30 @@ mod tests {
         assert!(c.get(&q(0)).is_some(), "recently-touched entry survived");
         assert!(c.get(&q(99)).is_some(), "new entry present");
         assert!(c.get(&q(1)).is_none(), "oldest entry evicted");
+    }
+
+    #[test]
+    fn eviction_drops_exactly_the_oldest_eighth() {
+        let mut c = ScoreCache::new(64);
+        for r in 0..64 {
+            c.put(q(r), r as f32);
+        }
+        // Bump every third region: recency, oldest first, is now the
+        // unbumped regions ascending, then the bumped ones.
+        for r in (0..64).step_by(3) {
+            assert!(c.get(&q(r)).is_some());
+        }
+        let oldest: Vec<usize> = (0..64).filter(|r| r % 3 != 0).take(8).collect();
+        c.put(q(100), 1.0);
+        assert_eq!(c.len(), 64 - 8 + 1);
+        for r in 0..64 {
+            assert_eq!(
+                c.map.contains_key(&q(r)),
+                !oldest.contains(&r),
+                "region {r} (evicted should be {oldest:?})"
+            );
+        }
+        assert!(c.map.contains_key(&q(100)));
     }
 
     #[test]

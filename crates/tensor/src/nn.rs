@@ -3,9 +3,12 @@
 //! Layers own [`ParamId`]s, not values: construct them against a
 //! [`ParamStore`], then call `forward` with the current tape and bindings.
 
-use crate::graph::{Graph, Var};
+use crate::graph::{CatBlock, Graph, Var};
 use crate::init::Init;
 use crate::param::{Bindings, ParamId, ParamStore};
+
+/// Negative slope of [`Activation::LeakyRelu`].
+pub const LEAKY_RELU_SLOPE: f32 = 0.2;
 
 /// Activation applied by [`Mlp`] between layers (and optionally at the end).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -14,7 +17,7 @@ pub enum Activation {
     None,
     /// max(0, x) — the paper's hidden-layer activation.
     Relu,
-    /// Leaky ReLU with slope 0.2 (GAT-style scoring).
+    /// Leaky ReLU with slope [`LEAKY_RELU_SLOPE`] (GAT-style scoring).
     LeakyRelu,
     /// Logistic sigmoid.
     Sigmoid,
@@ -28,7 +31,7 @@ impl Activation {
         match self {
             Activation::None => x,
             Activation::Relu => g.relu(x),
-            Activation::LeakyRelu => g.leaky_relu(x, 0.2),
+            Activation::LeakyRelu => g.leaky_relu(x, LEAKY_RELU_SLOPE),
             Activation::Sigmoid => g.sigmoid(x),
             Activation::Tanh => g.tanh(x),
         }
@@ -83,6 +86,21 @@ impl Linear {
             }
             None => y,
         }
+    }
+
+    /// `act([x₁ | x₂ | …] W + b)` over column blocks, as one tape node
+    /// ([`Graph::linear_cat`]): the same bits as concatenating the blocks,
+    /// [`Self::forward`] and `act`, without keeping the concatenation or
+    /// the pre-activation on the tape.
+    pub fn forward_cat(
+        &self,
+        g: &mut Graph,
+        binds: &Bindings,
+        blocks: &[CatBlock],
+        act: Activation,
+    ) -> Var {
+        let b = self.b.map(|b| binds.var(b));
+        g.linear_cat(blocks, binds.var(self.w), b, act)
     }
 }
 

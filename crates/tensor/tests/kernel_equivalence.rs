@@ -24,8 +24,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use siterec_tensor::kernels::{
-    matmul_into, matmul_naive_into, matmul_nt_into, matmul_tiled_into, matmul_tn_into,
-    TILED_MIN_MACS,
+    matmul_acc_into, matmul_into, matmul_naive_into, matmul_nt_into, matmul_tiled_into,
+    matmul_tn_into, KC, TILED_MIN_MACS,
 };
 use siterec_tensor::optim::{Adam, Optimizer};
 use siterec_tensor::parallel::ThreadGuard;
@@ -294,6 +294,76 @@ fn transpose_free_product_matches_transpose_then_matmul() {
         let _g = ThreadGuard::set(threads);
         for &(n, k, m) in SHAPES.iter().chain(GRAD_SHAPES) {
             transpose_free_vs_transposed(&mut rng, n, k, m);
+        }
+    }
+}
+
+/// `matmul_into` over the first `k₁` columns of `A` (and rows of `B`), then
+/// `matmul_acc_into` over each later split, against one `matmul_into`
+/// over the whole `k`.
+fn split_chain_vs_one_product(rng: &mut StdRng, n: usize, splits: &[usize], m: usize) {
+    let k: usize = splits.iter().sum();
+    let mut a = vec![0.0f32; n * k];
+    let mut b = vec![0.0f32; k * m];
+    adversarial_fill(&mut a, rng);
+    adversarial_fill(&mut b, rng);
+    let mut want = vec![f32::NAN; n * m];
+    matmul_into(&a, &b, &mut want, n, k, m);
+
+    let mut got = vec![f32::NAN; n * m];
+    let mut off = 0;
+    for (i, &kb) in splits.iter().enumerate() {
+        let a_b: Vec<f32> = (0..n)
+            .flat_map(|r| a[r * k + off..r * k + off + kb].iter().copied())
+            .collect();
+        let b_b = &b[off * m..(off + kb) * m];
+        if i == 0 {
+            matmul_into(&a_b, b_b, &mut got, n, kb, m);
+        } else {
+            matmul_acc_into(&a_b, b_b, &mut got, n, kb, m);
+        }
+        off += kb;
+    }
+    assert_same_bits(&want, &got, &format!("split {splits:?}"), n, k, m);
+}
+
+/// `(n, splits of k, m)`: halves that take different paths of the
+/// naive/tiled dispatch (each way round, and both naive under a tiled
+/// whole), splits at, before and across `KC`, three-way splits, the S-U
+/// fusion's shape, empty splits and degenerate dims.
+const SPLIT_SHAPES: &[(usize, &[usize], usize)] = &[
+    (64, &[8, 200], 60),
+    (64, &[200, 8], 60),
+    (9, &[200, 100], 33),
+    (20, &[KC, 44], 17),
+    (20, &[KC - 1, 2], 17),
+    (20, &[100, 300], 17),
+    (13, &[300, 7], 40),
+    (300, &[60, 42], 60),
+    (30, &[60, 3, 60], 60),
+    (5, &[3, 4], 2),
+    (7, &[0, 5], 9),
+    (7, &[5, 0], 9),
+    (0, &[5, 5], 3),
+    (4, &[5, 5], 0),
+];
+
+#[test]
+fn chain_continuing_product_matches_one_product_over_the_concatenated_k() {
+    let _l = lock();
+    let mut rng = StdRng::seed_from_u64(0xC4A1);
+    assert!(SPLIT_SHAPES.iter().any(|&(n, s, m)| {
+        let halves: Vec<bool> = s.iter().map(|&k| n * k * m >= TILED_MIN_MACS).collect();
+        halves.contains(&true) && halves.contains(&false)
+    }));
+    for tier in TIERS {
+        for threads in [1usize, 4] {
+            let _g = ThreadGuard::set(threads);
+            under_tier(tier, || {
+                for &(n, splits, m) in SPLIT_SHAPES {
+                    split_chain_vs_one_product(&mut rng, n, splits, m);
+                }
+            });
         }
     }
 }
