@@ -280,9 +280,13 @@ mod tests {
     // must not interleave with each other.
     static GLOBAL_KNOB: Mutex<()> = Mutex::new(());
 
-    fn wide_host() -> (std::sync::MutexGuard<'static, ()>, BudgetGuard) {
+    /// A tuple drops its fields in order, so the budget is restored
+    /// before the lock is released: the other way round, the next test
+    /// could take the lock and set its budget before this one's restore
+    /// overwrote it.
+    fn wide_host() -> (BudgetGuard, std::sync::MutexGuard<'static, ()>) {
         let l = GLOBAL_KNOB.lock().unwrap_or_else(|e| e.into_inner());
-        (l, BudgetGuard::set(8))
+        (BudgetGuard::set(8), l)
     }
 
     #[test]
@@ -329,7 +333,7 @@ mod tests {
 
     #[test]
     fn fanout_threads_clamp_to_jobs_and_budget() {
-        let (_l, _b) = wide_host(); // pretend 8 cores
+        let _g = wide_host(); // pretend 8 cores
         assert_eq!(effective_fanout_threads(4, 100), 4);
         assert_eq!(effective_fanout_threads(16, 100), 8); // core budget
         assert_eq!(effective_fanout_threads(16, 3), 3); // job count

@@ -87,9 +87,9 @@ fn err<T>(msg: impl Into<String>) -> Result<T, DecodeError> {
 
 /// Append-only byte writer for the checkpoint wire format.
 ///
-/// A writer made by [`Writer::sizer`] stores nothing and only counts: run
-/// an encoder through one first, and [`Writer::with_capacity`] of its
-/// [`Writer::len`] holds the real pass without growing.
+/// A writer made by `Writer::sizer` stores nothing and only counts: run
+/// an encoder through one first, and `Writer::with_capacity` of its
+/// `Writer::len` holds the real pass without growing.
 #[derive(Debug, Default)]
 pub struct Writer {
     buf: Vec<u8>,
