@@ -29,7 +29,7 @@ run cargo test -q --release -p siterec-tensor --test obs_overhead
 # checkpoint to be byte-identical to an uninterrupted run — with the
 # resume / checkpoint_write / checkpoint_corrupt journal records validating
 # against the obs schema along the way.
-run cargo run -q --release -p siterec-bench --bin chaos_train -- \
+run cargo run -q --release -p siterec-serve --bin siterec-chaos -- train \
     --epochs 6 --kills 1 --threads 2 --dir target/ci_chaos
 # One instrumented bench run at smoke scale: the emitted JSONL run-journal
 # must validate against the siterec-obs schema.
@@ -141,7 +141,7 @@ run sh -c 'cargo run -q -p siterec-ops -- trend BENCH_*.json >/dev/null'
 # Serving chaos smoke: SIGKILL the server mid-traffic, restart from the same
 # checkpoint dir, and require every post-resume score to be bit-identical to
 # offline inference (plus a schema-valid journal from the surviving child).
-run cargo run -q --release -p siterec-serve --bin chaos_serve -- \
+run cargo run -q --release -p siterec-serve --bin siterec-chaos -- serve \
     --seed 7 --epochs 2 --dir target/ci_chaos_serve
 # Failpoint matrix smoke: sweep seeded fault schedules (checkpoint fsync /
 # section reads, journal appends, SREMB1 image I/O, reload + scorer drops)
@@ -150,7 +150,7 @@ run cargo run -q --release -p siterec-serve --bin chaos_serve -- \
 # failpoint records match the registry's firing counts, at least one
 # degraded->recovered reload dance, and final scores raw-bit-identical to
 # the fault-free reference at 1 and 8 scorer/tensor threads.
-run cargo run -q --release -p siterec-serve --bin chaos_soak -- \
+run cargo run -q --release -p siterec-serve --bin siterec-chaos -- soak \
     --seeds 3 --epochs 3 --threads 1,8 --dir target/ci_chaos_soak
 # Supervision chaos smoke: continuous client traffic against a supervised
 # replica fleet while a seeded schedule kills, hangs (SIGSTOP), and
@@ -159,10 +159,10 @@ run cargo run -q --release -p siterec-serve --bin chaos_soak -- \
 # every graceful drain must finish with zero abandoned jobs, and the
 # supervisor + replica journals must validate with event counts matching
 # the schedule. --keep leaves the journals for the ops smoke below.
-run cargo run -q --release -p siterec-serve --bin chaos_supervise -- \
+run cargo run -q --release -p siterec-serve --bin siterec-chaos -- supervise \
     --replicas 2 --events 6 --epochs 3 --threads 1,8 \
     --dir target/ci_chaos_supervise --keep
-# Ops smoke over the supervision journals chaos_supervise just kept: the
+# Ops smoke over the supervision journals the supervise scenario just kept: the
 # summary must render the supervisor-event and drain sections, and query
 # must surface the typed supervisor_event records.
 run sh -c 'cargo run -q -p siterec-ops -- summary \

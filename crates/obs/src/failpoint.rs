@@ -31,7 +31,8 @@
 //! injection is as replayable as everything else in the workspace. Every
 //! firing journals a `failpoint` record (`name`, `mode`, `hit`) and ticks
 //! the `failpoint.fired` counter; [`stats`] exposes hit/fired counts for
-//! harness assertions (see the `chaos_soak` harness in `siterec-serve`).
+//! harness assertions (see the `siterec-chaos soak` scenario in
+//! `siterec-serve`).
 
 use std::collections::BTreeMap;
 use std::io;

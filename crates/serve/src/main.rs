@@ -218,7 +218,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             })
             .map_err(|e| format!("sigterm watcher: {e}"))?;
     }
-    // The orchestrators (chaos_serve, ci.sh) parse this exact line.
+    // The orchestrators (siterec-chaos, ci.sh) parse this exact line.
     println!("listening on {}", handle.addr());
     std::io::stdout().flush().ok();
     handle.join();

@@ -57,7 +57,7 @@
 //! crash in the middle of the checkpoint write for that epoch: half the
 //! encoded bytes are written *directly* to the destination path (bypassing
 //! the atomic rename, as a crashed non-atomic writer would) and the process
-//! aborts. The chaos harness (`chaos_train`) uses this to exercise the
+//! aborts. The chaos driver (`siterec-chaos train`) uses this to exercise the
 //! torn-file fallback path deterministically.
 
 use crate::optim::Adam;

@@ -53,22 +53,24 @@ fn disabled_recorder_overhead_is_negligible() {
     });
 
     // Cost of one disabled instrumentation call (counter_add bails on the
-    // relaxed atomic load before touching the global mutex).
+    // relaxed atomic load before touching the global mutex). Both per-call
+    // costs are medians of 5 batches, like `t_op`, so a stall during one
+    // batch no longer decides the verdict.
     let calls: u64 = 1_000_000;
-    let t0 = Instant::now();
-    for _ in 0..calls {
-        obs::counter_add("overhead.test.disabled", black_box(1));
-    }
-    let per_call = t0.elapsed().as_secs_f64() / calls as f64;
+    let per_call = time_median(5, || {
+        for _ in 0..calls {
+            obs::counter_add("overhead.test.disabled", black_box(1));
+        }
+    }) / calls as f64;
 
     // Unarmed failpoint checks sit on every I/O seam and must be just as
     // cheap: one relaxed atomic load, no lock, no allocation.
     obs::failpoint::disarm();
-    let t0 = Instant::now();
-    for _ in 0..calls {
-        black_box(obs::failpoint::check(black_box("overhead.test.fp")));
-    }
-    let per_check = t0.elapsed().as_secs_f64() / calls as f64;
+    let per_check = time_median(5, || {
+        for _ in 0..calls {
+            black_box(obs::failpoint::check(black_box("overhead.test.fp")));
+        }
+    }) / calls as f64;
 
     // The pipeline above pushes ~10 ops per run and each op passes a handful
     // of disabled checks; 10_000 checks per run (split between recorder
