@@ -95,14 +95,14 @@ impl RelationAttention {
             None => self.fuse.forward_cat(g, binds, &[src], Activation::Relu),
         }; // σ(W[z, φ])
         let k_all = self.w_k.forward(g, binds, fused); // E x d
-        let q_nodes = self.w_q.forward(g, binds, dst_emb); // n_dst x d
-        let q_all = g.gather_rows(q_nodes, dsts); // E x d
+        let q = self.w_q.forward(g, binds, dst_emb); // n_dst x d
 
         // Eqs. 11-12 for all heads in one tape op: bilinear scores
-        // K W_e Qᵀ, LeakyReLU, softmax over each destination's in-edges,
-        // α-weighted key sums, ReLU, heads side by side.
+        // K W_e Qᵀ against each edge's destination query, LeakyReLU,
+        // softmax over each destination's in-edges, α-weighted key sums,
+        // ReLU, heads side by side.
         let w_e = binds.var(self.w_e);
-        g.edge_attention(k_all, q_all, w_e, dsts, self.heads)
+        g.edge_attention(k_all, q, w_e, dsts, self.heads)
     }
 
     /// Mean aggregation (the `w/o NA` variant): ignores attributes, edge

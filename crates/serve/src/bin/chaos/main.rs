@@ -52,6 +52,9 @@ pub enum Action {
     Roll,
     /// `POST /admin/reload` until the store is healthy and fully trained.
     Reload,
+    /// SIGTERM the supervisor, which must drain and stop every replica
+    /// before it exits.
+    Term,
 }
 
 impl fmt::Display for Action {
@@ -63,6 +66,7 @@ impl fmt::Display for Action {
             Action::Stop(at) => write!(f, "stop@{at}"),
             Action::Roll => f.write_str("roll"),
             Action::Reload => f.write_str("reload"),
+            Action::Term => f.write_str("term"),
         }
     }
 }

@@ -17,7 +17,8 @@
 //!   as supervised children: health-checked, restarted with deterministic
 //!   seeded backoff, rolling-restarted via `POST /admin/roll`. Prints the
 //!   supervisor's own `listening on <addr>`; replica addresses live in its
-//!   `/healthz` JSON.
+//!   `/healthz` JSON. `POST /admin/quit`, or SIGTERM on Unix, drains and
+//!   stops every replica, then exits.
 //! * `query  --addr HOST:PORT [--retry N] [--timeout-ms T] <action>` — a
 //!   tiny HTTP client for scripts and CI: `--region R --type T [--period
 //!   L]` scores one pair, `--topk K --type T` ranks regions, `--healthz` /
@@ -266,6 +267,11 @@ mod sigterm {
     pub fn received() -> bool {
         RECEIVED.load(Ordering::SeqCst)
     }
+
+    /// The flag the handler sets, for loops that poll it themselves.
+    pub fn flag() -> &'static AtomicBool {
+        &RECEIVED
+    }
 }
 
 fn cmd_supervise(args: &[String]) -> Result<(), String> {
@@ -313,7 +319,17 @@ fn cmd_supervise(args: &[String]) -> Result<(), String> {
 
     obs::record!("run_start", name = "siterec-serve-supervise");
     let t0 = Instant::now();
-    supervise::run(cfg)?;
+    // SIGTERM stops the supervisor like `POST /admin/quit`: it drains and
+    // stops every replica, so none outlives it. The supervisor's loop polls
+    // the flag the handler sets.
+    #[cfg(unix)]
+    let stop = {
+        sigterm::install();
+        sigterm::flag()
+    };
+    #[cfg(not(unix))]
+    let stop = &std::sync::atomic::AtomicBool::new(false);
+    supervise::run(cfg, stop)?;
     obs::record!(
         "run_end",
         name = "siterec-serve-supervise",

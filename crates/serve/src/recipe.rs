@@ -58,7 +58,8 @@ impl Recipe {
     pub fn context(&self) -> (O2oDataset, SiteRecTask) {
         let sim = match self.preset {
             // xor keeps the dataset seed distinct from the model seed while
-            // remaining a pure function of it (mirrors the chaos harness).
+            // remaining a pure function of it. The chaos driver's trainer
+            // builds on this and on `config`, so both see the same dataset.
             Preset::Tiny => SimConfig::tiny(self.seed ^ 0x51),
             Preset::Experiment => SimConfig::experiment(self.seed ^ 0x51),
         };

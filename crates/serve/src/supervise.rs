@@ -168,10 +168,12 @@ fn event(kind: &str, replica: usize, detail: &str) {
     obs::olog!(Debug, "supervise: replica {replica} {kind}: {detail}");
 }
 
-/// Run the supervisor until `/admin/quit`. Prints `listening on <addr>`
-/// (the supervisor's own admin endpoint) once ready — orchestrators parse
-/// that line, then read replica addresses from `/healthz`.
-pub fn run(cfg: SuperviseConfig) -> Result<(), String> {
+/// Run the supervisor until `/admin/quit`, or until `stop` is set (the
+/// binary sets it on SIGTERM); either way it drains and stops every
+/// replica before returning. Prints `listening on <addr>` (the
+/// supervisor's own admin endpoint) once ready — orchestrators parse that
+/// line, then read replica addresses from `/healthz`.
+pub fn run(cfg: SuperviseConfig, stop: &AtomicBool) -> Result<(), String> {
     let listener =
         TcpListener::bind(&cfg.addr).map_err(|e| format!("supervisor bind failed: {e}"))?;
     let admin_addr = listener
@@ -214,6 +216,12 @@ pub fn run(cfg: SuperviseConfig) -> Result<(), String> {
     std::io::stdout().flush().ok();
 
     while !shared.quit.load(Ordering::SeqCst) {
+        if stop.load(Ordering::SeqCst) {
+            // The same teardown as `/admin/quit`; the flag also ends the
+            // admin thread.
+            shared.quit.store(true, Ordering::SeqCst);
+            break;
+        }
         sup.tick();
         if shared.roll_requested.swap(false, Ordering::SeqCst) {
             sup.rolling_restart();

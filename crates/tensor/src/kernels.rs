@@ -28,6 +28,20 @@
 //! explicit transpose, and every output element sees the same operation
 //! sequence as transpose-then-[`matmul_into`].
 //!
+//! Every layout of `A` takes a row stride, so `A` can be one column block
+//! of a wider matrix, read in place — one attention head's keys inside the
+//! stacked `E x (heads·head_dim)` matrix, say:
+//!
+//! * [`matmul_strided_into`] — `A(i, p) = a[i * lda + p]`;
+//! * [`matmul_tn_strided_into`] — `A(i, p) = a[p * lda + i]`, with `B`'s
+//!   rows at their own stride `ldb`;
+//! * [`matmul_nt_strided_into`] — [`matmul_nt_into`] with `A` at stride
+//!   `lda`.
+//!
+//! The tiled kernel already reads `A` in place at `(row, p)` strides, so a
+//! block costs no copy; the naive loop indexes its rows at the stride. The
+//! contiguous entry points are these with the stride equal to the width.
+//!
 //! One more entry continues a product instead of starting one:
 //!
 //! * [`matmul_acc_into`] — `C += A B`, each element's accumulator picking
@@ -59,6 +73,10 @@
 //! non-finite `b` (`0 * inf = NaN`) — inputs the tape's fault layer already
 //! rejects. The property suite in `tests/kernel_equivalence.rs` asserts raw
 //! bit equality over adversarial finite shapes and data.
+//!
+//! One more kernel is not a matmul: [`dots_into`], the edge attention's
+//! score and `dα` dots, one chain per output (see its docs and the `simd`
+//! module for the lane-transposed vector versions).
 //!
 //! # SIMD dispatch
 //!
@@ -130,12 +148,43 @@ thread_local! {
 /// Panics if the slice lengths do not match the shapes.
 pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
     assert_eq!(a.len(), n * k, "matmul a length");
+    matmul_strided_into(a, k, b, out, n, k, m);
+}
+
+/// [`matmul_into`] on an `A` read in place from a wider row-major buffer:
+/// `A(i, p) = a[i * lda + p]`, for example one head's column block of a
+/// stacked matrix (`a` starting at the block's first column, `lda` the
+/// stack's width). Bit-identical to copying the block out and calling
+/// [`matmul_into`]: same shape dispatch, same values in the same order.
+///
+/// # Panics
+/// Panics if `lda < k` or the slice lengths do not cover the shapes.
+pub fn matmul_strided_into(
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    out: &mut [f32],
+    n: usize,
+    k: usize,
+    m: usize,
+) {
+    assert_strided(a.len(), lda, n, k, "matmul a");
     assert_eq!(b.len(), k * m, "matmul b length");
     assert_eq!(out.len(), n * m, "matmul out length");
     if takes_tiled_path(n, k, m) {
-        tiled_into(a, ALayout::RowMajor, b, BLayout::RowMajor, out, n, k, m);
+        tiled_into(
+            a,
+            ALayout::RowMajor(lda),
+            b,
+            BLayout::RowMajor(m),
+            out,
+            n,
+            k,
+            m,
+        );
     } else {
-        matmul_naive_into(a, b, out, n, k, m);
+        out.fill(0.0);
+        naive_acc_into(a, lda, b, out, n, k, m);
     }
 }
 
@@ -153,9 +202,9 @@ pub fn matmul_acc_into(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize
     if takes_tiled_path(n, k, m) {
         tiled(
             a,
-            ALayout::RowMajor,
+            ALayout::RowMajor(k),
             b,
-            BLayout::RowMajor,
+            BLayout::RowMajor(m),
             out,
             n,
             k,
@@ -163,7 +212,7 @@ pub fn matmul_acc_into(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize
             true,
         );
     } else {
-        naive_acc_into(a, b, out, n, k, m);
+        naive_acc_into(a, k, b, out, n, k, m);
     }
 }
 
@@ -177,11 +226,45 @@ pub fn matmul_acc_into(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize
 pub fn matmul_tn_into(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
     assert_eq!(a.len(), k * n, "matmul_tn a length");
     assert_eq!(b.len(), k * m, "matmul_tn b length");
+    matmul_tn_strided_into(a, n, b, m, out, n, k, m);
+}
+
+/// [`matmul_tn_into`] with both operands read in place from wider
+/// row-major buffers: `a` holds `Aᵀ` at row stride `lda`
+/// (`A(i, p) = a[p * lda + i]`) and `b` holds `B` at row stride `ldb`
+/// (`B(p, j) = b[p * ldb + j]`). Bit-identical to copying both blocks out
+/// and calling [`matmul_tn_into`].
+///
+/// # Panics
+/// Panics if a stride is narrower than its block or the slice lengths do
+/// not cover the shapes.
+#[allow(clippy::too_many_arguments)]
+pub fn matmul_tn_strided_into(
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    out: &mut [f32],
+    n: usize,
+    k: usize,
+    m: usize,
+) {
+    assert_strided(a.len(), lda, k, n, "matmul_tn a");
+    assert_strided(b.len(), ldb, k, m, "matmul_tn b");
     assert_eq!(out.len(), n * m, "matmul_tn out length");
     if takes_tiled_path(n, k, m) {
-        tiled_into(a, ALayout::Transposed, b, BLayout::RowMajor, out, n, k, m);
+        tiled_into(
+            a,
+            ALayout::Transposed(lda),
+            b,
+            BLayout::RowMajor(ldb),
+            out,
+            n,
+            k,
+            m,
+        );
     } else {
-        matmul_tn_naive_into(a, b, out, n, k, m);
+        matmul_tn_naive_into(a, lda, b, ldb, out, k, m);
     }
 }
 
@@ -195,10 +278,37 @@ pub fn matmul_tn_into(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize,
 /// Panics if the slice lengths do not match the shapes.
 pub fn matmul_nt_into(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
     assert_eq!(a.len(), n * k, "matmul_nt a length");
+    matmul_nt_strided_into(a, k, b, out, n, k, m);
+}
+
+/// [`matmul_nt_into`] on an `A` read in place at row stride `lda`
+/// (`A(i, p) = a[i * lda + p]`), as in [`matmul_strided_into`].
+///
+/// # Panics
+/// Panics if `lda < k` or the slice lengths do not cover the shapes.
+pub fn matmul_nt_strided_into(
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    out: &mut [f32],
+    n: usize,
+    k: usize,
+    m: usize,
+) {
+    assert_strided(a.len(), lda, n, k, "matmul_nt a");
     assert_eq!(b.len(), m * k, "matmul_nt b length");
     assert_eq!(out.len(), n * m, "matmul_nt out length");
     if takes_tiled_path(n, k, m) {
-        tiled_into(a, ALayout::RowMajor, b, BLayout::Transposed, out, n, k, m);
+        tiled_into(
+            a,
+            ALayout::RowMajor(lda),
+            b,
+            BLayout::Transposed,
+            out,
+            n,
+            k,
+            m,
+        );
     } else {
         // Below the tiling threshold `B` is small (k x m with n*k*m under
         // TILED_MIN_MACS), and the naive loop wants its rows contiguous.
@@ -211,9 +321,21 @@ pub fn matmul_nt_into(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize,
                     pb[p * m + j] = v;
                 }
             }
-            matmul_naive_into(a, &pb, out, n, k, m);
+            out.fill(0.0);
+            naive_acc_into(a, lda, &pb, out, n, k, m);
         });
     }
+}
+
+/// Check that a `rows x cols` block at row stride `ld` fits in a slice of
+/// `len` values.
+fn assert_strided(len: usize, ld: usize, rows: usize, cols: usize, what: &str) {
+    assert!(ld >= cols, "{what}: row stride {ld} below width {cols}");
+    let need = if rows == 0 { 0 } else { (rows - 1) * ld + cols };
+    assert!(
+        len >= need,
+        "{what}: {len} values, a {rows}x{cols} block at stride {ld} needs {need}"
+    );
 }
 
 /// Work per output row to hand the parallel planner, for a row of `2·k·m`
@@ -250,13 +372,15 @@ pub fn matmul_naive_into(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usi
     assert_eq!(b.len(), k * m, "matmul b length");
     assert_eq!(out.len(), n * m, "matmul out length");
     out.fill(0.0);
-    naive_acc_into(a, b, out, n, k, m);
+    naive_acc_into(a, k, b, out, n, k, m);
 }
 
-/// The naive loop's accumulation onto `out` as it stands: the body of
-/// [`matmul_naive_into`] after its zero fill, and the naive path of
-/// [`matmul_acc_into`].
-fn naive_acc_into(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
+/// The naive loop's accumulation onto `out` as it stands, reading row `i`
+/// of `A` at `a[i * lda ..]`: the body of [`matmul_naive_into`] after its
+/// zero fill, and the naive path of [`matmul_acc_into`] and the strided
+/// products.
+#[allow(clippy::too_many_arguments)]
+fn naive_acc_into(a: &[f32], lda: usize, b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
     debug_assert_eq!(out.len(), n * m);
     // Output rows are independent, so the parallel split changes nothing
     // about the per-element accumulation order: bitwise identical to the
@@ -264,7 +388,7 @@ fn naive_acc_into(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: 
     parallel::for_each_row_block_mut(out, m, row_work(k, m, None), |i0, block| {
         for (bi, o_row) in block.chunks_mut(m).enumerate() {
             let i = i0 + bi;
-            let a_row = &a[i * k..(i + 1) * k];
+            let a_row = &a[i * lda..i * lda + k];
             for (kk, &av) in a_row.iter().enumerate() {
                 if av == 0.0 {
                     continue;
@@ -278,19 +402,29 @@ fn naive_acc_into(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: 
     });
 }
 
-/// [`matmul_naive_into`] on `aᵀ` (`a` stored `k x n`), reading `a` in place.
-/// The loop runs over the rows of `a` outermost — one rank-1 update of this
-/// worker's output rows per row of `a` — so `a` and `b` stream contiguously.
-/// Each output element still accumulates its `a[p][i] * b[p][j]` terms in
+/// [`matmul_naive_into`] on `aᵀ` (`a` stored `k x n` at row stride `lda`),
+/// reading `a` in place, with `B`'s rows at stride `ldb`. The loop runs
+/// over the rows of `a` outermost — one rank-1 update of this worker's
+/// output rows per row of `a` — so `a` and `b` stream row by row. Each
+/// output element still accumulates its `a[p][i] * b[p][j]` terms in
 /// ascending `p` from `0.0`, skipping `a == 0.0` exactly like the naive
 /// loop: the same operation sequence, so the same bits.
-fn matmul_tn_naive_into(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
+#[allow(clippy::too_many_arguments)]
+fn matmul_tn_naive_into(
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    out: &mut [f32],
+    k: usize,
+    m: usize,
+) {
     out.fill(0.0);
     parallel::for_each_row_block_mut(out, m, row_work(k, m, None), |i0, block| {
         let rows = block.len() / m;
         for p in 0..k {
-            let a_seg = &a[p * n + i0..p * n + i0 + rows];
-            let b_row = &b[p * m..(p + 1) * m];
+            let a_seg = &a[p * lda + i0..p * lda + i0 + rows];
+            let b_row = &b[p * ldb..p * ldb + m];
             for (o_row, &av) in block.chunks_mut(m).zip(a_seg) {
                 if av == 0.0 {
                     continue;
@@ -309,23 +443,35 @@ pub fn matmul_tiled_into(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usi
     assert_eq!(a.len(), n * k, "matmul a length");
     assert_eq!(b.len(), k * m, "matmul b length");
     assert_eq!(out.len(), n * m, "matmul out length");
-    tiled_into(a, ALayout::RowMajor, b, BLayout::RowMajor, out, n, k, m);
+    tiled_into(
+        a,
+        ALayout::RowMajor(k),
+        b,
+        BLayout::RowMajor(m),
+        out,
+        n,
+        k,
+        m,
+    );
 }
 
 /// How the tiled kernel finds `A(i, p)` in its `a` slice.
 #[derive(Debug, Clone, Copy)]
 enum ALayout {
-    /// `a` is `A` itself, `n x k` row-major: `A(i, p) = a[i * k + p]`.
-    RowMajor,
-    /// `a` is `Aᵀ`, `k x n` row-major: `A(i, p) = a[p * n + i]`.
-    Transposed,
+    /// `a` holds `A` row-major at row stride `lda`: `A(i, p) = a[i * lda + p]`
+    /// (`lda = k` for a contiguous `A`).
+    RowMajor(usize),
+    /// `a` holds `Aᵀ` row-major at row stride `lda`: `A(i, p) = a[p * lda + i]`
+    /// (`lda = n` for a contiguous `Aᵀ`).
+    Transposed(usize),
 }
 
 /// How the tiled kernel finds `B(p, j)` in its `b` slice.
 #[derive(Debug, Clone, Copy)]
 enum BLayout {
-    /// `b` is `B` itself, `k x m` row-major: `B(p, j) = b[p * m + j]`.
-    RowMajor,
+    /// `b` holds `B` row-major at row stride `ldb`: `B(p, j) = b[p * ldb + j]`
+    /// (`ldb = m` for a contiguous `B`).
+    RowMajor(usize),
     /// `b` is `Bᵀ`, `m x k` row-major: `B(p, j) = b[j * k + p]`.
     Transposed,
 }
@@ -380,7 +526,7 @@ fn tiled(
         // arbitrary contiguous row range, so the split cannot affect bits.
         let work = row_work(k, m, Some(simd::tier()));
         parallel::for_each_row_block_mut(out, m, work, |i0, block| {
-            tiled_rows(a, alayout, pb, block, i0, n, k, m, cont);
+            tiled_rows(a, alayout, pb, block, i0, k, m, cont);
         });
     });
 }
@@ -397,9 +543,9 @@ fn pack_b(pb: &mut Vec<f32>, b: &[f32], layout: BLayout, k: usize, m: usize) {
         let j0 = jp * NR;
         let nr = NR.min(m - j0);
         match layout {
-            BLayout::RowMajor => {
+            BLayout::RowMajor(ldb) => {
                 for (p, dst) in panel.chunks_exact_mut(NR).enumerate() {
-                    dst[..nr].copy_from_slice(&b[p * m + j0..p * m + j0 + nr]);
+                    dst[..nr].copy_from_slice(&b[p * ldb + j0..p * ldb + j0 + nr]);
                 }
             }
             // Column j of the panel is row j0 + j of `b`: read it
@@ -426,7 +572,6 @@ fn tiled_rows(
     pb: &[f32],
     block: &mut [f32],
     i0: usize,
-    n: usize,
     k: usize,
     m: usize,
     cont: bool,
@@ -435,8 +580,8 @@ fn tiled_rows(
     let tier = simd::tier();
     // Strides of A(i, p) in `a`: to the next row i, and to the next p.
     let (rs, ps) = match layout {
-        ALayout::RowMajor => (k, 1),
-        ALayout::Transposed => (1, n),
+        ALayout::RowMajor(lda) => (lda, 1),
+        ALayout::Transposed(lda) => (1, lda),
     };
     // k blocks in ascending order: each output element accumulates its
     // k-terms in ascending order across blocks (the naive order).
@@ -677,6 +822,69 @@ pub fn softmax_div_block(out: &mut [f32], i0: usize, segs: &[usize], seg_sum: &[
     }
     for (j, o) in out.iter_mut().enumerate() {
         *o /= seg_sum[segs[i0 + j]];
+    }
+}
+
+/// Per-output work of [`dots_into`] for the parallel planner, for rows of
+/// `len` terms (see [`row_work`] for the unit). Inside Table III epochs
+/// (2-core AVX-512 Xeon, head widths 12 and 18) the `2·len` flops of one
+/// output ran at 2–4 flops/ns on the vector tiers and 1.2–1.4 on the
+/// scalar one, so they are divided by 2 or 1. The split is
+/// output-partitioned, so this moves no bits.
+pub(crate) fn dots_work(len: usize) -> usize {
+    (2 * len / if simd::active() { 2 } else { 1 }).max(1)
+}
+
+/// Dot products of strided rows against gathered rows: for each output
+/// `l`, `out[l] = Σ_p x[l·xs + p] · y[ids[l]·ys + p]` over `p in 0..len`.
+/// Each output is one chain, exactly the scalar `Iterator::sum` of the
+/// products: seeded with `-0.0`, then one multiply and one add per term
+/// (no FMA), in ascending `p`. The vector tiers run 16 (AVX-512) or 8
+/// (AVX2) outputs at once, one per lane, and finish the last outputs with
+/// the scalar loop; every lane keeps its output's chain, so all three
+/// tiers produce the same bits.
+///
+/// # Panics
+/// Panics if a row reaches past the end of `x` or `y`, or `ids` is
+/// shorter than `out`.
+pub fn dots_into(
+    out: &mut [f32],
+    x: &[f32],
+    xs: usize,
+    y: &[f32],
+    ys: usize,
+    ids: &[usize],
+    len: usize,
+) {
+    let n = out.len();
+    if n == 0 {
+        return;
+    }
+    assert!(
+        (n - 1) * xs + len <= x.len(),
+        "dots_into: x rows out of bounds"
+    );
+    let ids = &ids[..n];
+    assert!(
+        ids.iter().all(|&t| t * ys + len <= y.len()),
+        "dots_into: y rows out of bounds"
+    );
+    // SAFETY: the tier is detected (or capped below) on this host, and
+    // every row both kernels read was bounds-checked above.
+    #[cfg(target_arch = "x86_64")]
+    let done = match simd::tier() {
+        // The vector kernels gather a chunk's last few terms by `i32`
+        // offsets.
+        _ if x.len().max(y.len()) > i32::MAX as usize => 0,
+        Tier::Avx512 => unsafe { simd::dots_avx512(out, x, xs, y, ys, ids, len) },
+        Tier::Avx2 => unsafe { simd::dots_avx2(out, x, xs, y, ys, ids, len) },
+        Tier::Scalar => 0,
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let done = 0;
+    for (l, o) in out.iter_mut().enumerate().skip(done) {
+        let (xr, yr) = (&x[l * xs..l * xs + len], &y[ids[l] * ys..ids[l] * ys + len]);
+        *o = xr.iter().zip(yr).map(|(&a, &b)| a * b).sum();
     }
 }
 

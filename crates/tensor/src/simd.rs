@@ -15,7 +15,9 @@
 //! | `scalar` | —                   | 16 `f32`              | 4 rows x 1 panel     |
 //!
 //! Segment softmax and Adam have one vector version, AVX2 8-lane, taken on
-//! both vector tiers.
+//! both vector tiers. The edge attention's gathered dots
+//! ([`dots_into`](crate::kernels::dots_into)) have one per vector tier:
+//! 16 outputs per zmm, or 8 per ymm.
 //!
 //! # Bit-identity contract
 //!
@@ -41,6 +43,15 @@
 //!   computed one-at-a-time or as a lane of [`exp8`]. Per-segment max and
 //!   exp-sum reductions stay scalar in CSR-ascending order (they are
 //!   gather-bound; the contiguous exp pass is where the time goes).
+//! * **Gathered dots** — lane `l` of the accumulator is output `l`'s own
+//!   chain, seeded with `-0.0` like the scalar `Iterator::sum`. Each chunk
+//!   of up to 16 (8) terms is multiplied row by row, one lane's two rows
+//!   at a time (the same single-rounding multiply as the scalar `x * y`),
+//!   and the product rows are transposed with shuffles, which move bits
+//!   without arithmetic, so that term `p` of every lane sits in one vector;
+//!   the chains then add the terms in ascending `p`, one add each. A last
+//!   chunk narrower than 8 terms gathers each lane's terms instead. Both
+//!   orders of work leave every output's operation sequence unchanged.
 //! * **Adam step** — purely elementwise; `_mm256_sqrt_ps` and
 //!   `_mm256_div_ps` are IEEE-754 correctly rounded (bit-identical to
 //!   scalar `sqrt`/`/`), and the expression tree mirrors the scalar update
@@ -447,6 +458,202 @@ mod x86 {
                 _mm512_mask_storeu_ps(c.add(q * NR), mask[q], acc[r][q]);
             }
         }
+    }
+
+    /// Columns below which the last chunk of terms is gathered lane by
+    /// lane instead of transposed: a transpose costs the same at any width.
+    const TRANSPOSE_MIN: usize = 8;
+
+    /// Output `j`'s two rows (see [`dots_into`](crate::kernels::dots_into)).
+    #[inline(always)]
+    fn rows_of(
+        x: &[f32],
+        xs: usize,
+        y: &[f32],
+        ys: usize,
+        ids: &[usize],
+        j: usize,
+    ) -> (*const f32, *const f32) {
+        let (xo, yo) = (j * xs, ids[j] * ys);
+        (x.as_ptr().wrapping_add(xo), y.as_ptr().wrapping_add(yo))
+    }
+
+    /// The offsets of the rows of outputs `j .. j + L`, as `i32` gather
+    /// indices (callers have checked that both slices fit them).
+    #[inline(always)]
+    fn row_offsets<const L: usize>(
+        xs: usize,
+        ys: usize,
+        ids: &[usize],
+        j: usize,
+    ) -> ([i32; L], [i32; L]) {
+        (
+            std::array::from_fn(|l| ((j + l) * xs) as i32),
+            std::array::from_fn(|l| (ids[j + l] * ys) as i32),
+        )
+    }
+
+    /// Transpose a 16 x 16 block held as 16 row vectors, in place.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn transpose16(r: &mut [__m512; 16]) {
+        // Within each 128-bit lane: interleave row pairs, then pairs of
+        // pairs, so vector 4g + c holds column 4L + c of rows 4g..4g+3 in
+        // lane L.
+        let mut t = [_mm512_setzero_ps(); 16];
+        for g in 0..4 {
+            let lo01 = _mm512_unpacklo_ps(r[4 * g], r[4 * g + 1]);
+            let hi01 = _mm512_unpackhi_ps(r[4 * g], r[4 * g + 1]);
+            let lo23 = _mm512_unpacklo_ps(r[4 * g + 2], r[4 * g + 3]);
+            let hi23 = _mm512_unpackhi_ps(r[4 * g + 2], r[4 * g + 3]);
+            let pd = _mm512_castps_pd;
+            t[4 * g] = _mm512_castpd_ps(_mm512_unpacklo_pd(pd(lo01), pd(lo23)));
+            t[4 * g + 1] = _mm512_castpd_ps(_mm512_unpackhi_pd(pd(lo01), pd(lo23)));
+            t[4 * g + 2] = _mm512_castpd_ps(_mm512_unpacklo_pd(pd(hi01), pd(hi23)));
+            t[4 * g + 3] = _mm512_castpd_ps(_mm512_unpackhi_pd(pd(hi01), pd(hi23)));
+        }
+        // Then transpose the 4 x 4 grid of 128-bit blocks, per column c.
+        for c in 0..4 {
+            let v01 = _mm512_shuffle_f32x4::<0x88>(t[c], t[4 + c]);
+            let w01 = _mm512_shuffle_f32x4::<0xdd>(t[c], t[4 + c]);
+            let v23 = _mm512_shuffle_f32x4::<0x88>(t[8 + c], t[12 + c]);
+            let w23 = _mm512_shuffle_f32x4::<0xdd>(t[8 + c], t[12 + c]);
+            r[c] = _mm512_shuffle_f32x4::<0x88>(v01, v23);
+            r[4 + c] = _mm512_shuffle_f32x4::<0x88>(w01, w23);
+            r[8 + c] = _mm512_shuffle_f32x4::<0xdd>(v01, v23);
+            r[12 + c] = _mm512_shuffle_f32x4::<0xdd>(w01, w23);
+        }
+    }
+
+    /// Transpose an 8 x 8 block held as 8 row vectors, in place.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn transpose8(r: &mut [__m256; 8]) {
+        let mut t = [_mm256_setzero_ps(); 8];
+        for g in 0..2 {
+            let lo01 = _mm256_unpacklo_ps(r[4 * g], r[4 * g + 1]);
+            let hi01 = _mm256_unpackhi_ps(r[4 * g], r[4 * g + 1]);
+            let lo23 = _mm256_unpacklo_ps(r[4 * g + 2], r[4 * g + 3]);
+            let hi23 = _mm256_unpackhi_ps(r[4 * g + 2], r[4 * g + 3]);
+            t[4 * g] = _mm256_shuffle_ps::<0x44>(lo01, lo23);
+            t[4 * g + 1] = _mm256_shuffle_ps::<0xee>(lo01, lo23);
+            t[4 * g + 2] = _mm256_shuffle_ps::<0x44>(hi01, hi23);
+            t[4 * g + 3] = _mm256_shuffle_ps::<0xee>(hi01, hi23);
+        }
+        for c in 0..4 {
+            r[c] = _mm256_permute2f128_ps::<0x20>(t[c], t[4 + c]);
+            r[4 + c] = _mm256_permute2f128_ps::<0x31>(t[c], t[4 + c]);
+        }
+    }
+
+    /// [`dots_into`](crate::kernels::dots_into) 16 outputs per zmm, lane
+    /// `l` holding output `l`'s chain (`-0.0`, then one mul and one add
+    /// per term). Each chunk of up to 16 terms is multiplied row by row
+    /// (masked loads of each lane's two rows), and the 16 product rows are
+    /// transposed so that term `p` of every lane sits in one vector, which
+    /// the chains then add in ascending `p`. A last chunk narrower than
+    /// `TRANSPOSE_MIN` gathers each lane's terms by `i32` offsets instead.
+    /// Returns how many outputs it wrote (whole groups of 16).
+    ///
+    /// # Safety
+    /// Requires AVX-512F; every row the outputs read is in bounds, and
+    /// `x.len()` and `y.len()` fit an `i32` (`dots_into` checks both).
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn dots_avx512(
+        out: &mut [f32],
+        x: &[f32],
+        xs: usize,
+        y: &[f32],
+        ys: usize,
+        ids: &[usize],
+        len: usize,
+    ) -> usize {
+        let n = out.len() & !15;
+        for j in (0..n).step_by(16) {
+            let mut acc = _mm512_set1_ps(-0.0);
+            let mut c0 = 0;
+            while c0 < len {
+                let w = (len - c0).min(16);
+                if w < TRANSPOSE_MIN {
+                    let (xo, yo) = row_offsets::<16>(xs, ys, ids, j);
+                    let xo = _mm512_loadu_si512(xo.as_ptr().cast());
+                    let yo = _mm512_loadu_si512(yo.as_ptr().cast());
+                    for p in c0..len {
+                        let a = _mm512_i32gather_ps::<4>(xo, x.as_ptr().add(p));
+                        let b = _mm512_i32gather_ps::<4>(yo, y.as_ptr().add(p));
+                        acc = _mm512_add_ps(acc, _mm512_mul_ps(a, b));
+                    }
+                    break;
+                }
+                let mask = ((1u32 << w) - 1) as __mmask16;
+                let mut r = [_mm512_setzero_ps(); 16];
+                for (l, rl) in r.iter_mut().enumerate() {
+                    let (xr, yr) = rows_of(x, xs, y, ys, ids, j + l);
+                    let a = _mm512_maskz_loadu_ps(mask, xr.add(c0));
+                    let b = _mm512_maskz_loadu_ps(mask, yr.add(c0));
+                    *rl = _mm512_mul_ps(a, b);
+                }
+                transpose16(&mut r);
+                for col in &r[..w] {
+                    acc = _mm512_add_ps(acc, *col);
+                }
+                c0 += w;
+            }
+            _mm512_storeu_ps(out.as_mut_ptr().add(j), acc);
+        }
+        n
+    }
+
+    /// [`dots_avx512`] at 8 outputs per ymm, with 8 x 8 transposes.
+    ///
+    /// # Safety
+    /// Requires AVX2; every row the outputs read is in bounds, and
+    /// `x.len()` and `y.len()` fit an `i32` (`dots_into` checks both).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn dots_avx2(
+        out: &mut [f32],
+        x: &[f32],
+        xs: usize,
+        y: &[f32],
+        ys: usize,
+        ids: &[usize],
+        len: usize,
+    ) -> usize {
+        let n = out.len() & !7;
+        let idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        for j in (0..n).step_by(8) {
+            let mut acc = _mm256_set1_ps(-0.0);
+            let mut c0 = 0;
+            while c0 < len {
+                let w = (len - c0).min(8);
+                if w < TRANSPOSE_MIN {
+                    let (xo, yo) = row_offsets::<8>(xs, ys, ids, j);
+                    let xo = _mm256_loadu_si256(xo.as_ptr().cast());
+                    let yo = _mm256_loadu_si256(yo.as_ptr().cast());
+                    for p in c0..len {
+                        let a = _mm256_i32gather_ps::<4>(x.as_ptr().add(p), xo);
+                        let b = _mm256_i32gather_ps::<4>(y.as_ptr().add(p), yo);
+                        acc = _mm256_add_ps(acc, _mm256_mul_ps(a, b));
+                    }
+                    break;
+                }
+                let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(w as i32), idx);
+                let mut r = [_mm256_setzero_ps(); 8];
+                for (l, rl) in r.iter_mut().enumerate() {
+                    let (xr, yr) = rows_of(x, xs, y, ys, ids, j + l);
+                    let a = _mm256_maskload_ps(xr.add(c0), mask);
+                    let b = _mm256_maskload_ps(yr.add(c0), mask);
+                    *rl = _mm256_mul_ps(a, b);
+                }
+                transpose8(&mut r);
+                for col in &r[..w] {
+                    acc = _mm256_add_ps(acc, *col);
+                }
+                c0 += w;
+            }
+            _mm256_storeu_ps(out.as_mut_ptr().add(j), acc);
+        }
+        n
     }
 
     /// Fused Adam update over whole 8-lane chunks of one contiguous split;

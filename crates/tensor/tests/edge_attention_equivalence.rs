@@ -1,14 +1,16 @@
 //! Raw-bit equivalence of the fused `Graph::edge_attention` op with the
 //! per-head chain of public ops it replaced.
 //!
-//! The oracle below is that chain, verbatim: per head, `slice_cols` the key
-//! and query blocks, `gather_rows` the head's `W_e` rows, `matmul`,
-//! `row_dot`, `leaky_relu(0.2)`, `segment_softmax`, `mul_col_broadcast`,
+//! The oracle below is that chain, verbatim: `gather_rows` the destination
+//! queries to one row per edge, then per head `slice_cols` the key and
+//! query blocks, `gather_rows` the head's `W_e` rows, `matmul`, `row_dot`,
+//! `leaky_relu(0.2)`, `segment_softmax`, `mul_col_broadcast`,
 //! `segment_sum`, `relu`, and finally `concat_cols` over heads. Both
 //! versions run on the same inputs; the forward value and the gradient of
 //! every input must agree bit for bit — including the sign of zero, which
 //! the chain's per-head gradient merges normalize — at 1 and 4 threads,
-//! under auto dispatch and with the matmul tier capped at AVX2.
+//! under auto dispatch, with the matmul tier capped at AVX2 and on the
+//! scalar tier.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -43,16 +45,10 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|x| x.to_bits()).collect()
 }
 
-/// The per-head composition the fused op replaced.
-fn composed(
-    g: &mut Graph,
-    k_all: Var,
-    q_all: Var,
-    w_e: Var,
-    dsts: &Arc<Index>,
-    heads: usize,
-) -> Var {
+/// The query gather and per-head composition the fused op replaced.
+fn composed(g: &mut Graph, k_all: Var, q: Var, w_e: Var, dsts: &Arc<Index>, heads: usize) -> Var {
     let head_dim = g.value(k_all).cols() / heads;
+    let q_all = g.gather_rows(q, dsts);
     let mut head_outs = Vec::with_capacity(heads);
     for i in 0..heads {
         let k_i = g.slice_cols(k_all, i * head_dim, head_dim);
@@ -107,17 +103,18 @@ fn random_case(
 }
 
 /// Forward value plus the gradients of K, Q and W_e under a loss that
-/// weights every output element differently. With `k_reused`, K also feeds
-/// a later op, so its gradient slot already holds a contribution when the
-/// attention's arrives.
-fn run(c: &Case, fused: bool, k_reused: bool) -> Vec<Vec<u32>> {
+/// weights every output element differently. With `reused`, K and Q also
+/// feed a later op, so their gradient slots already hold a contribution
+/// when the attention's arrives.
+fn run(c: &Case, fused: bool, reused: bool) -> Vec<Vec<u32>> {
     let d = c.heads * c.head_dim;
     let mut rng = StdRng::seed_from_u64(c.seed ^ 0xA77E);
     let k0 = fill(&mut rng, c.e, d);
-    let q0 = fill(&mut rng, c.e, d);
+    let q0 = fill(&mut rng, c.n_dst, d);
     let w0 = fill(&mut rng, d, c.head_dim);
     let r_out = fill(&mut rng, c.n_dst, d);
     let r_k = fill(&mut rng, c.e, d);
+    let r_q = fill(&mut rng, c.n_dst, d);
 
     let mut g = Graph::new();
     let k = g.param(k0);
@@ -132,11 +129,13 @@ fn run(c: &Case, fused: bool, k_reused: bool) -> Vec<Vec<u32>> {
     let r = g.constant(r_out);
     let weighted = g.mul(out, r);
     let mut loss = g.sum_all(weighted);
-    if k_reused {
-        let rk = g.constant(r_k);
-        let kk = g.mul(k, rk);
-        let extra = g.sum_all(kk);
-        loss = g.add(loss, extra);
+    if reused {
+        for (v, r) in [(k, r_k), (q, r_q)] {
+            let r = g.constant(r);
+            let vr = g.mul(v, r);
+            let extra = g.sum_all(vr);
+            loss = g.add(loss, extra);
+        }
     }
     let mut res = vec![bits(g.value(out))];
     g.backward(loss);
@@ -148,20 +147,20 @@ fn run(c: &Case, fused: bool, k_reused: bool) -> Vec<Vec<u32>> {
 
 fn assert_equivalent(label: &str, c: &Case) {
     let _l = lock();
-    // Auto dispatch (AVX-512 where detected), then capped at AVX2; ci.sh
-    // re-runs the suite with SITEREC_NO_SIMD=1 for the scalar tier.
-    for cap in [false, true] {
-        let _c = cap.then(SimdGuard::cap_avx2);
-        equivalent_at_threads(&format!("{label} (avx2 cap {cap})"), c);
+    // Auto dispatch (AVX-512 where detected), capped at AVX2, and scalar.
+    for tier in ["auto", "avx2 cap", "scalar"] {
+        let _c = (tier == "avx2 cap").then(SimdGuard::cap_avx2);
+        let _s = (tier == "scalar").then(SimdGuard::force_scalar);
+        equivalent_at_threads(&format!("{label} ({tier})"), c);
     }
 }
 
 fn equivalent_at_threads(label: &str, c: &Case) {
     for threads in [1, 4] {
         let _g = ThreadGuard::set(threads);
-        for k_reused in [false, true] {
-            let want = run(c, false, k_reused);
-            let got = run(c, true, k_reused);
+        for reused in [false, true] {
+            let want = run(c, false, reused);
+            let got = run(c, true, reused);
             for (what, (w, g)) in ["value", "dK", "dQ", "dW_e"]
                 .iter()
                 .zip(want.iter().zip(&got))
@@ -169,7 +168,7 @@ fn equivalent_at_threads(label: &str, c: &Case) {
                 assert_eq!(w.len(), g.len(), "{label}: {what} length");
                 if let Some(i) = (0..w.len()).find(|&i| w[i] != g[i]) {
                     panic!(
-                        "{label} ({threads} thread(s), k_reused {k_reused}): {what} differs at \
+                        "{label} ({threads} thread(s), reused {reused}): {what} differs at \
                          {i}: composed {:?} vs fused {:?}",
                         f32::from_bits(w[i]),
                         f32::from_bits(g[i])
@@ -226,4 +225,37 @@ fn table3_shaped_graph_matches_the_per_head_chain() {
     // Table III: d2 = 60 over 5 heads, thousands of edges — past the tiled
     // matmul threshold in both the forward and the weight gradient.
     assert_equivalent("table3", &random_case(7, 7465, 5, 12, 1759, 9));
+}
+
+#[test]
+fn lane_tails_match() {
+    // Edge counts around the 8- and 16-lane score and dα vectors: whole
+    // vectors, scalar tails, and a tail that crosses a head boundary.
+    for (n, e) in [1usize, 15, 16, 17, 33].into_iter().enumerate() {
+        let c = random_case(10 + n as u64, e, 3, 4, 5, 3);
+        assert_equivalent(&format!("E={e}"), &c);
+    }
+}
+
+#[test]
+fn head_widths_match() {
+    for (n, hd) in [8usize, 12, 16].into_iter().enumerate() {
+        let c = random_case(20 + n as u64, 300, 3, hd, 40, 4);
+        assert_equivalent(&format!("head_dim={hd}"), &c);
+    }
+}
+
+#[test]
+fn destinations_without_in_edges_match() {
+    // Every other destination has no in-edges, including the first and
+    // the last, so the query gradient keeps zero rows at both ends.
+    let c = Case {
+        e: 40,
+        heads: 2,
+        head_dim: 8,
+        n_dst: 9,
+        dsts: (0..40).map(|i| 1 + 2 * (i * 7 % 4)).collect(),
+        seed: 30,
+    };
+    assert_equivalent("empty destinations", &c);
 }

@@ -24,8 +24,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use siterec_tensor::kernels::{
-    matmul_acc_into, matmul_into, matmul_naive_into, matmul_nt_into, matmul_tiled_into,
-    matmul_tn_into, KC, TILED_MIN_MACS,
+    dots_into, matmul_acc_into, matmul_into, matmul_naive_into, matmul_nt_into,
+    matmul_nt_strided_into, matmul_strided_into, matmul_tiled_into, matmul_tn_into,
+    matmul_tn_strided_into, KC, TILED_MIN_MACS,
 };
 use siterec_tensor::optim::{Adam, Optimizer};
 use siterec_tensor::parallel::ThreadGuard;
@@ -539,5 +540,104 @@ fn adam_simd_bits_match_scalar_on_adversarial_grads() {
             run(false),
             "adam scalar/simd bits differ at {threads} threads"
         );
+    }
+}
+
+/// Column block `c0 .. c0 + cols` of the row-major `rows x ld` matrix `x`.
+fn block_of(x: &[f32], ld: usize, rows: usize, c0: usize, cols: usize) -> Vec<f32> {
+    (0..rows)
+        .flat_map(|r| x[r * ld + c0..r * ld + c0 + cols].iter().copied())
+        .collect()
+}
+
+/// The strided products read one column block of a wider matrix in place;
+/// each must give the bits of copying the block out first, on both sides
+/// of the tiling threshold, at 1 and 4 threads.
+#[test]
+fn strided_products_match_the_copied_block() {
+    let _l = lock();
+    let mut rng = StdRng::seed_from_u64(0x57D);
+    // (n, k, m, extra columns around the block): the attention heads'
+    // shapes (E x 12 x 12, E x 18 x 18) and the threshold's both sides.
+    let shapes = [
+        (700, 12, 12, 48),
+        (1500, 18, 18, 72),
+        (40, 12, 12, 24),
+        (9, 5, 3, 7),
+        (0, 4, 4, 4),
+    ];
+    for threads in [1usize, 4] {
+        let _g = ThreadGuard::set(threads);
+        for &(n, k, m, extra) in &shapes {
+            let c0 = extra / 2;
+            let (lda, ldb) = (k + extra, m + extra);
+            let mut a = vec![0.0f32; n * lda];
+            let mut at = vec![0.0f32; k * (n + extra)];
+            let mut b = vec![0.0f32; k * ldb];
+            let mut bt = vec![0.0f32; m * k];
+            for buf in [&mut a, &mut at, &mut b, &mut bt] {
+                adversarial_fill(buf, &mut rng);
+            }
+            // A zero-row operand is empty, so its block starts nowhere.
+            let from = |x: &[f32]| x.get(c0..).unwrap_or_default().to_vec();
+            let (a_in, at_in, b_in) = (from(&a), from(&at), from(&b));
+            let a_blk = block_of(&a, lda, n, c0, k);
+            let at_blk = block_of(&at, n + extra, k, c0, n);
+            let b_blk = block_of(&b, ldb, k, c0, m);
+
+            let (mut want, mut got) = (vec![f32::NAN; n * m], vec![f32::NAN; n * m]);
+            matmul_into(&a_blk, &b_blk, &mut want, n, k, m);
+            matmul_strided_into(&a_in, lda, &b_blk, &mut got, n, k, m);
+            assert_same_bits(&want, &got, "strided nn", n, k, m);
+
+            matmul_tn_into(&at_blk, &b_blk, &mut want, n, k, m);
+            matmul_tn_strided_into(&at_in, n + extra, &b_in, ldb, &mut got, n, k, m);
+            assert_same_bits(&want, &got, "strided tn", n, k, m);
+
+            matmul_nt_into(&a_blk, &bt, &mut want, n, k, m);
+            matmul_nt_strided_into(&a_in, lda, &bt, &mut got, n, k, m);
+            assert_same_bits(&want, &got, "strided nt", n, k, m);
+        }
+    }
+}
+
+/// `dots_into` under every tier against the scalar `Iterator::sum` of the
+/// products, on the bit patterns of the matmul tier tests: run lengths
+/// around the 8- and 16-wide chunks and their gathered tails, output
+/// counts around whole vectors.
+#[test]
+fn gathered_dots_match_the_scalar_chain_on_every_tier() {
+    let _l = lock();
+    let mut rng = StdRng::seed_from_u64(0xD075);
+    for len in [0usize, 1, 3, 7, 8, 9, 12, 15, 16, 17, 18, 24, 33] {
+        for outs in [1usize, 7, 8, 15, 16, 17, 33] {
+            let (xs, ys, n_rows) = (len + 3, len + 5, 11);
+            let mut x = vec![0.0f32; outs * xs + len];
+            let mut y = vec![0.0f32; n_rows * ys];
+            matmul_bit_adversarial_fill(&mut x, &mut rng);
+            matmul_bit_adversarial_fill(&mut y, &mut rng);
+            let ids: Vec<usize> = (0..outs).map(|_| rng.gen_range(0..n_rows)).collect();
+            let want: Vec<f32> = (0..outs)
+                .map(|l| {
+                    x[l * xs..l * xs + len]
+                        .iter()
+                        .zip(&y[ids[l] * ys..ids[l] * ys + len])
+                        .map(|(&a, &b)| a * b)
+                        .sum()
+                })
+                .collect();
+            for tier in TIERS {
+                let mut got = vec![f32::NAN; outs];
+                under_tier(tier, || dots_into(&mut got, &x, xs, &y, ys, &ids, len));
+                assert_same_bits(
+                    &want,
+                    &got,
+                    &format!("dots len {len} ({tier})"),
+                    outs,
+                    len,
+                    1,
+                );
+            }
+        }
     }
 }
