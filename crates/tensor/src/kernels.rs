@@ -4,12 +4,12 @@
 //!
 //! * [`matmul_naive_into`] — the original `i-k-j` triple loop (one axpy over
 //!   the output row per `(i, k)` pair). This is the bit-reference.
-//! * [`matmul_tiled_into`] — a BLIS-style blocked kernel: `B` is packed once
-//!   into `NR = 16`-wide column panels (zero-padded past column `m`), and a
-//!   register-tile microkernel of `MR` rows by one or more panels runs the
-//!   inner loop over `k` in `KC`-deep blocks, broadcasting each `A` value
-//!   straight from `A`'s rows (`MR` sequential streams, so `A` needs no
-//!   packed copy).
+//! * [`matmul_tiled_into`] — a BLIS-style blocked kernel: a register-tile
+//!   microkernel of `R` rows by one or more `NR = 16`-wide column panels
+//!   runs the inner loop over `k` in `KC`-deep blocks, broadcasting each
+//!   `A` value straight from `A`'s rows (`R` sequential streams, so `A`
+//!   needs no packed copy) and reading each row of a panel of `B` where it
+//!   lies.
 //!
 //! Two more entry points run the same products on a transposed operand
 //! without materializing the transpose — the two halves of a matmul
@@ -52,6 +52,37 @@
 //!   is the single ascending-`k` chain of one `matmul_into(A, B)` over the
 //!   whole `k`, so the bits are the same.
 //!
+//! # Dispatch
+//!
+//! Every entry point picks its kernel from the shape alone (`route`), so a
+//! given shape always takes the same path:
+//!
+//! | route        | shapes                                             | kernel                                              |
+//! |--------------|----------------------------------------------------|-----------------------------------------------------|
+//! | naive        | `n·k·m < TILED_MIN_MACS`, or `2 <= m < 8`, or `n < 4` (except `tn`) | the `i-k-j` loop                       |
+//! | matvec       | `m = 1` at or above the threshold                  | lane dots (`nn`, `acc`, `nt`); an axpy over the outputs per term (`tn`) |
+//! | narrow tile  | tiled, `m <= 16`, and `k <= 16` (`nn`, `nt`, `acc`) or `n <= 16` (`tn`), on AVX-512 | the microkernel with 8 rows per tile (`n` rounded up to 4 for `tn`) |
+//! | tiled        | everything else                                    | the microkernel with `MR = 4` rows per tile, up to 4 panels per AVX-512 group |
+//!
+//! Only a transposed `B` (`matmul_nt_into`'s) is packed into panels; a
+//! row-major `B` is read in place at its row stride on every tier, and the
+//! last panel's loads are masked to its columns. A tile's height changes
+//! which outputs are computed together, never an output's chain, so the
+//! narrow tile moves no bit either.
+//!
+//! *The matvec's seed.* A one-column output is one chain
+//! `acc = +0.0; acc += a[i][p] * b[p]` over ascending `p`, the naive loop
+//! skipping zero `a` terms. The lane dots hold 16 (8) such chains in one
+//! vector, one output per lane, transpose each chunk of products so that
+//! term `p` of every lane sits in one vector, and add the terms in
+//! ascending `p`. Each lane starts at `+0.0` (not at the `-0.0` of
+//! [`dots_into`]'s `Iterator::sum`: a chain of only `±0.0` terms, such as a
+//! dead-ReLU row against negative weights, must end at `+0.0` as the naive
+//! loop's does), or, for [`matmul_acc_into`], at the output's own value. A
+//! zero `a` contributes `-0.0`, the exact identity of IEEE addition, which
+//! is the naive loop's skip on every input, non-finite ones included. The
+//! `tn` axpy keeps each output's chain in a register lane across the terms.
+//!
 //! # Bit-identity contract
 //!
 //! Both kernels compute every output element with a **single accumulator**
@@ -82,11 +113,11 @@
 //!
 //! This module is the shape-dispatch seam for the explicit-SIMD kernels in
 //! [`simd`]. The tiled matmul's panel loop reads [`simd::tier()`] once per
-//! `(k-block, row-panel)` pair and runs every panel — full or partial —
-//! through that tier's microkernel: AVX-512 groups of up to four panels,
-//! AVX2 one panel as two ymm, or the scalar tile. Partial panels are
-//! handled with masked loads and stores of `C` over the zero-padded packed
-//! `B`, so no tier falls back to another for the last columns. The fused
+//! product and runs every panel — full or partial — through that tier's
+//! microkernel: AVX-512 groups of up to four panels (one in a narrow
+//! tile), AVX2 one panel as two ymm, or the scalar tile. Partial panels are
+//! handled with masked loads of `B` and masked loads and stores of `C`, so
+//! no tier falls back to another for the last columns. The fused
 //! Adam chunk update ([`adam_update_chunk`]) and the segment-softmax exp /
 //! normalize passes ([`softmax_exp_block`], [`softmax_div_block`]) check
 //! [`simd::active()`](crate::simd::active) once per contiguous block and
@@ -97,12 +128,12 @@
 //!
 //! # Parallelism
 //!
-//! Both paths split over output rows via
+//! Every path splits over output rows via
 //! [`parallel::for_each_row_block_mut`]; each worker owns a contiguous row
 //! range and per-element accumulation order is independent of the split, so
 //! results are bitwise identical at every thread count. Each path reports
-//! its rows' work to the planner at its own rate (`row_work`), so products
-//! that finish in microseconds stay serial.
+//! its rows' work to the planner at its own rate (`row_work`,
+//! `matvec_work`), so products that finish in microseconds stay serial.
 //!
 //! # Allocation
 //!
@@ -114,13 +145,14 @@ use crate::parallel;
 use crate::simd::{self, Tier};
 use std::cell::RefCell;
 
-/// Microkernel register-tile height (output rows per tile).
+/// Microkernel register-tile height (output rows per tile) outside the
+/// narrow route.
 pub const MR: usize = 4;
-/// Width of one packed `B` column panel: one zmm, two ymm, or 16 scalar
+/// Width of one `B` column panel: one zmm, two ymm, or 16 scalar
 /// accumulators per tile row.
 pub const NR: usize = 16;
 /// Columns of `A` / rows of `B` per cache block (the `k` blocking factor;
-/// one packed `B` panel of `KC x NR` f32 is 16 KiB — fits L1).
+/// one `B` panel of `KC x NR` f32 is 16 KiB — fits L1).
 pub const KC: usize = 256;
 /// Panels per AVX-512 register tile: `MR x 4` zmm accumulators (16 of 32).
 const AVX512_PANELS: usize = 4;
@@ -135,9 +167,9 @@ pub const TILED_MIN_MACS: usize = 1 << 16;
 const TILED_MIN_COLS: usize = 8;
 
 thread_local! {
-    /// Packed `B` (all column panels, whole `k` extent), or the transposed
-    /// `b` of a naive [`matmul_nt_into`]. Lives on the thread that issues
-    /// the matmul.
+    /// The packed panels of a tiled [`matmul_nt_into`]'s `B` (all column
+    /// panels, whole `k` extent), or the transposed `b` of a naive one.
+    /// Lives on the thread that issues the matmul.
     static PACK_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -171,8 +203,8 @@ pub fn matmul_strided_into(
     assert_strided(a.len(), lda, n, k, "matmul a");
     assert_eq!(b.len(), k * m, "matmul b length");
     assert_eq!(out.len(), n * m, "matmul out length");
-    if takes_tiled_path(n, k, m) {
-        tiled_into(
+    match route(n, k, m, MR) {
+        Route::Tiled => tiled_into(
             a,
             ALayout::RowMajor(lda),
             b,
@@ -181,10 +213,12 @@ pub fn matmul_strided_into(
             n,
             k,
             m,
-        );
-    } else {
-        out.fill(0.0);
-        naive_acc_into(a, lda, b, out, n, k, m);
+        ),
+        Route::Matvec => matvec_into(a, lda, b, out, k, false),
+        Route::Naive => {
+            out.fill(0.0);
+            naive_acc_into(a, lda, b, out, n, k, m);
+        }
     }
 }
 
@@ -199,8 +233,8 @@ pub fn matmul_acc_into(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize
     assert_eq!(a.len(), n * k, "matmul_acc a length");
     assert_eq!(b.len(), k * m, "matmul_acc b length");
     assert_eq!(out.len(), n * m, "matmul_acc out length");
-    if takes_tiled_path(n, k, m) {
-        tiled(
+    match route(n, k, m, MR) {
+        Route::Tiled => tiled(
             a,
             ALayout::RowMajor(k),
             b,
@@ -210,9 +244,9 @@ pub fn matmul_acc_into(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize
             k,
             m,
             true,
-        );
-    } else {
-        naive_acc_into(a, k, b, out, n, k, m);
+        ),
+        Route::Matvec => matvec_into(a, k, b, out, k, true),
+        Route::Naive => naive_acc_into(a, k, b, out, n, k, m),
     }
 }
 
@@ -252,8 +286,8 @@ pub fn matmul_tn_strided_into(
     assert_strided(a.len(), lda, k, n, "matmul_tn a");
     assert_strided(b.len(), ldb, k, m, "matmul_tn b");
     assert_eq!(out.len(), n * m, "matmul_tn out length");
-    if takes_tiled_path(n, k, m) {
-        tiled_into(
+    match route(n, k, m, 1) {
+        Route::Tiled => tiled_into(
             a,
             ALayout::Transposed(lda),
             b,
@@ -262,9 +296,9 @@ pub fn matmul_tn_strided_into(
             n,
             k,
             m,
-        );
-    } else {
-        matmul_tn_naive_into(a, lda, b, ldb, out, k, m);
+        ),
+        Route::Matvec => axpy_into(a, lda, b, ldb, out, k),
+        Route::Naive => matmul_tn_naive_into(a, lda, b, ldb, out, k, m),
     }
 }
 
@@ -298,7 +332,8 @@ pub fn matmul_nt_strided_into(
     assert_strided(a.len(), lda, n, k, "matmul_nt a");
     assert_eq!(b.len(), m * k, "matmul_nt b length");
     assert_eq!(out.len(), n * m, "matmul_nt out length");
-    if takes_tiled_path(n, k, m) {
+    let route = route(n, k, m, MR);
+    if route == Route::Tiled {
         tiled_into(
             a,
             ALayout::RowMajor(lda),
@@ -309,6 +344,9 @@ pub fn matmul_nt_strided_into(
             k,
             m,
         );
+    } else if route == Route::Matvec {
+        // `Bᵀ` is one row of `k` values: `B`'s one column, as stored.
+        matvec_into(a, lda, b, out, k, false);
     } else {
         // Below the tiling threshold `B` is small (k x m with n*k*m under
         // TILED_MIN_MACS), and the naive loop wants its rows contiguous.
@@ -339,27 +377,68 @@ fn assert_strided(len: usize, ld: usize, rows: usize, cols: usize, what: &str) {
 }
 
 /// Work per output row to hand the parallel planner, for a row of `2·k·m`
-/// flops on the naive loop (`tier` = `None`) or on a tiled tier. The
-/// planner's split threshold assumes about 1 flop/ns, and every matmul path
-/// retires far more. Measured on a 2-core AVX-512 Xeon over products from
-/// 64×32×16 to 256³: naive 7–15 flops/ns, the scalar tile 13–22, AVX2
-/// 36–55, AVX-512 42–80. Each path's flops are divided by a power of two
+/// flops on the naive loop (`tier` = `None`) or on a tiled tier, `tall`
+/// when the product takes the tall one-panel tile. The planner's split
+/// threshold assumes about 1 flop/ns, and every matmul path retires far
+/// more. Measured on a 2-core AVX-512 Xeon over products from 64×32×16 to
+/// 256³: naive 7–15 flops/ns, the scalar tile 13–22, AVX2 36–55, AVX-512
+/// 42–80; the AVX-512 tall tiles ran the attention heads' `E x 12 x 12`
+/// products at 17–31. Each path's flops are divided by a power of two
 /// near its rate, so a product that finishes in microseconds stays serial
 /// instead of paying a thread spawn. The split is output-partitioned, so
 /// this moves no bits.
-fn row_work(k: usize, m: usize, tier: Option<Tier>) -> usize {
+fn row_work(k: usize, m: usize, tier: Option<Tier>, tall: bool) -> usize {
     let flops_per_ns = match tier {
         None => 8,
         Some(Tier::Scalar) => 16,
         Some(Tier::Avx2) => 32,
+        Some(Tier::Avx512) if tall => 16,
         Some(Tier::Avx512) => 64,
     };
     (2 * k * m / flops_per_ns).max(1)
 }
 
-/// The shape-only naive/tiled dispatch rule shared by every product.
-fn takes_tiled_path(n: usize, k: usize, m: usize) -> bool {
-    n.saturating_mul(k).saturating_mul(m) >= TILED_MIN_MACS && m >= TILED_MIN_COLS && n >= MR
+/// Per-output work of the one-column routes for the parallel planner, for
+/// outputs of `k` terms (see [`row_work`] for the unit). Measured like
+/// `row_work` on `12,822 x 40 x 1` and its `tn` twin: the lane dots ran at
+/// 5–7 flops/ns, the axpy at 7.7–14 on the vector tiers, and both at
+/// 0.43–0.47 on the scalar one (one add chain per output, each add
+/// waiting on the last).
+fn matvec_work(k: usize, axpy: bool) -> usize {
+    match (simd::active(), axpy) {
+        (false, _) => 4 * k,
+        (true, false) => k / 2,
+        (true, true) => k / 4,
+    }
+    .max(1)
+}
+
+/// Which kernel a product takes; see the module docs' dispatch table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Route {
+    /// The naive loop: every product below [`TILED_MIN_MACS`], and the
+    /// narrow ones no other route takes.
+    Naive,
+    /// A one-column product: lane dots, or the axpy of `matmul_tn`.
+    Matvec,
+    /// The tiled kernel (with a tall tile when the product fits one panel).
+    Tiled,
+}
+
+/// The shape-only dispatch rule shared by every product; `min_rows` is
+/// the fewest output rows the tiled kernel takes: [`MR`], or 1 for
+/// [`matmul_tn_into`], whose long-`k` products with 1–3 output rows ran
+/// 5x faster on one partial tile than on the naive loop.
+fn route(n: usize, k: usize, m: usize, min_rows: usize) -> Route {
+    if n.saturating_mul(k).saturating_mul(m) < TILED_MIN_MACS {
+        Route::Naive
+    } else if m == 1 {
+        Route::Matvec
+    } else if m >= TILED_MIN_COLS && n >= min_rows {
+        Route::Tiled
+    } else {
+        Route::Naive
+    }
 }
 
 /// The original `i-k-j` triple loop: for each output row, an axpy over the
@@ -385,7 +464,7 @@ fn naive_acc_into(a: &[f32], lda: usize, b: &[f32], out: &mut [f32], n: usize, k
     // Output rows are independent, so the parallel split changes nothing
     // about the per-element accumulation order: bitwise identical to the
     // serial loop for any worker count.
-    parallel::for_each_row_block_mut(out, m, row_work(k, m, None), |i0, block| {
+    parallel::for_each_row_block_mut(out, m, row_work(k, m, None, false), |i0, block| {
         for (bi, o_row) in block.chunks_mut(m).enumerate() {
             let i = i0 + bi;
             let a_row = &a[i * lda..i * lda + k];
@@ -420,7 +499,7 @@ fn matmul_tn_naive_into(
     m: usize,
 ) {
     out.fill(0.0);
-    parallel::for_each_row_block_mut(out, m, row_work(k, m, None), |i0, block| {
+    parallel::for_each_row_block_mut(out, m, row_work(k, m, None, false), |i0, block| {
         let rows = block.len() / m;
         for p in 0..k {
             let a_seg = &a[p * lda + i0..p * lda + i0 + rows];
@@ -516,68 +595,139 @@ fn tiled(
         }
         return;
     }
-    PACK_B.with(|pb| {
-        let mut pb = pb.borrow_mut();
-        pack_b(&mut pb, b, blayout, k, m);
-        // Reborrow as a plain slice so the parallel closure captures a Sync
-        // `&[f32]` rather than the RefMut guard.
-        let pb: &[f32] = &pb;
-        // Row-partitioned like the naive path; each worker handles an
-        // arbitrary contiguous row range, so the split cannot affect bits.
-        let work = row_work(k, m, Some(simd::tier()));
+    let tier = simd::tier();
+    let rows = tile_rows(tier, alayout, n, k, m);
+    let work = row_work(k, m, Some(tier), rows != MR);
+    // Row-partitioned like the naive path; each worker handles an
+    // arbitrary contiguous row range, so the split cannot affect bits.
+    let run = |bsrc: BPanel, out: &mut [f32]| {
         parallel::for_each_row_block_mut(out, m, work, |i0, block| {
-            tiled_rows(a, alayout, pb, block, i0, k, m, cont);
+            let rows_fn = match rows {
+                16 => tiled_rows::<16>,
+                12 => tiled_rows::<12>,
+                8 => tiled_rows::<8>,
+                _ => tiled_rows::<MR>,
+            };
+            rows_fn(a, alayout, bsrc, block, i0, k, m, cont, tier);
         });
-    });
+    };
+    match blayout {
+        BLayout::RowMajor(ldb) => run(BPanel { b, rs: ldb, qs: NR }, out),
+        BLayout::Transposed => PACK_B.with(|pb| {
+            let mut pb = pb.borrow_mut();
+            pack_b(&mut pb, b, k, m);
+            run(
+                BPanel {
+                    b: &pb,
+                    rs: NR,
+                    qs: k * NR,
+                },
+                out,
+            );
+        }),
+    }
 }
 
-/// Pack `B (k x m)` into `NR`-wide column panels: panel `jp` holds, for each
-/// `p` in `0..k`, the `NR` values `B(p, jp*NR .. jp*NR+NR)`, zero-padded
-/// past column `m`. Within a panel, consecutive `p` are contiguous, so the
-/// microkernel streams it linearly.
-fn pack_b(pb: &mut Vec<f32>, b: &[f32], layout: BLayout, k: usize, m: usize) {
+/// Rows per register tile for a product on `tier`: the tall one-panel
+/// tiles when the product fits one 16-wide panel (`m <= NR`) and either
+/// its `A` is row-major with `k <= NR` (the attention heads' `E x w x w`
+/// products, whose whole `B` is one panel of at most 16 rows), or
+/// transposed with `n <= NR` (their long-`k` weight gradients, whose whole
+/// output is one tile held in registers across `k`). Otherwise [`MR`].
+/// Shape and tier only, and the tile height never changes an element's
+/// chain, so never a bit.
+fn tile_rows(tier: Tier, layout: ALayout, n: usize, k: usize, m: usize) -> usize {
+    if tier != Tier::Avx512 || m > NR {
+        return MR;
+    }
+    match layout {
+        ALayout::RowMajor(_) if k <= NR => TALL_MR,
+        ALayout::Transposed(_) if n <= NR => n.next_multiple_of(MR),
+        _ => MR,
+    }
+}
+
+/// Rows of the tall tile on a row-major `A`: 8 independent zmm chains per
+/// step of `k`. On the heads' `E x 12 x 12` products 8 rows ran 3–39%
+/// faster than 4 and level with 16.
+const TALL_MR: usize = 8;
+
+/// Pack `Bᵀ` (`b` is `m x k` row-major) into `NR`-wide column panels of
+/// `B`: panel `jp` holds, for each `p` in `0..k`, the `NR` values
+/// `B(p, jp*NR .. jp*NR+NR)`, zero-padded past column `m`. Within a panel,
+/// consecutive `p` are contiguous, so the microkernel streams it linearly.
+/// A row-major `B` is never packed: the microkernels read it in place.
+fn pack_b(pb: &mut Vec<f32>, b: &[f32], k: usize, m: usize) {
     let panels = m.div_ceil(NR);
     pb.clear();
     pb.resize(panels * k * NR, 0.0);
     for (jp, panel) in pb.chunks_exact_mut(k * NR).enumerate() {
         let j0 = jp * NR;
         let nr = NR.min(m - j0);
-        match layout {
-            BLayout::RowMajor(ldb) => {
-                for (p, dst) in panel.chunks_exact_mut(NR).enumerate() {
-                    dst[..nr].copy_from_slice(&b[p * ldb + j0..p * ldb + j0 + nr]);
-                }
-            }
-            // Column j of the panel is row j0 + j of `b`: read it
-            // contiguously, write it down the panel at stride NR.
-            BLayout::Transposed => {
-                for (c, b_row) in b[j0 * k..(j0 + nr) * k].chunks_exact(k).enumerate() {
-                    for (p, &v) in b_row.iter().enumerate() {
-                        panel[p * NR + c] = v;
-                    }
-                }
+        // Column j of the panel is row j0 + j of `b`: read it contiguously,
+        // write it down the panel at stride NR.
+        for (c, b_row) in b[j0 * k..(j0 + nr) * k].chunks_exact(k).enumerate() {
+            for (p, &v) in b_row.iter().enumerate() {
+                panel[p * NR + c] = v;
             }
         }
     }
 }
 
+/// Where a microkernel finds `B`: `B(p, jp·NR + c) = b[p·rs + jp·qs + c]`
+/// for panel `jp`, row `p` and valid column `c` — a row-major `B` in place
+/// (`rs = ldb`, `qs = NR`; the last panel's loads are masked to its
+/// columns) or the packed panels of a transposed one (`rs = NR`,
+/// `qs = k·NR`). [`BPanel::at`] moves the origin to one panel group's
+/// first row and column.
+#[derive(Clone, Copy)]
+pub(crate) struct BPanel<'a> {
+    /// `B` from the origin on.
+    pub(crate) b: &'a [f32],
+    /// Stride from `B(p, j)` to `B(p + 1, j)`.
+    pub(crate) rs: usize,
+    /// Stride from one panel to the next.
+    pub(crate) qs: usize,
+}
+
+impl<'a> BPanel<'a> {
+    /// The same `B` from row `p0` of panel `jp` on.
+    #[inline(always)]
+    fn at(self, p0: usize, jp: usize) -> Self {
+        BPanel {
+            b: &self.b[p0 * self.rs + jp * self.qs..],
+            ..self
+        }
+    }
+
+    /// With debug assertions on, check that the last valid column of the
+    /// last of `np` panels, on row `kc - 1`, lies inside `b`.
+    #[inline(always)]
+    pub(crate) fn debug_check(&self, kc: usize, np: usize, last_cols: usize) {
+        debug_assert!(
+            (kc - 1) * self.rs + (np - 1) * self.qs + last_cols <= self.b.len(),
+            "B panel reaches past its slice"
+        );
+    }
+}
+
 /// Compute the output rows held in `block` (rows `i0 .. i0 + block_rows` of
-/// `C`), reading the matching rows of `A` in place (laid out as `layout`
-/// says) and the shared packed `B`. With `cont` the first k-block reloads
-/// `C` like every later one.
+/// `C`) in `R`-row tiles, reading the matching rows of `A` in place (laid
+/// out as `layout` says) and `B` where `b` finds it. With `cont` the first
+/// k-block reloads `C` like every later one.
 #[allow(clippy::too_many_arguments)]
-fn tiled_rows(
+fn tiled_rows<const R: usize>(
     a: &[f32],
     layout: ALayout,
-    pb: &[f32],
+    b: BPanel,
     block: &mut [f32],
     i0: usize,
     k: usize,
     m: usize,
     cont: bool,
+    tier: Tier,
 ) {
     let block_rows = block.len() / m;
-    let tier = simd::tier();
     // Strides of A(i, p) in `a`: to the next row i, and to the next p.
     let (rs, ps) = match layout {
         ALayout::RowMajor(lda) => (lda, 1),
@@ -588,13 +738,20 @@ fn tiled_rows(
     let mut p0 = 0;
     while p0 < k {
         let kc = KC.min(k - p0);
-        // Row panels of MR within this worker's range.
+        // Row panels of R within this worker's range.
         let mut bi = 0;
         while bi < block_rows {
-            let mr = MR.min(block_rows - bi);
+            let mr = R.min(block_rows - bi);
             // Tile rows past mr repeat the last valid row: their
             // accumulators are computed but never stored.
-            let rows = std::array::from_fn(|r| (i0 + bi + r.min(mr - 1)) * rs + p0 * ps);
+            let rows: [usize; R] =
+                std::array::from_fn(|r| (i0 + bi + r.min(mr - 1)) * rs + p0 * ps);
+            // The offsets grow with r, so this bounds every A the tile reads
+            // (the vector microkernels read A unchecked).
+            assert!(
+                rows[R - 1] + (kc - 1) * ps < a.len(),
+                "tiled matmul: A tile out of bounds"
+            );
             let tile = Tile {
                 a,
                 rows,
@@ -605,27 +762,27 @@ fn tiled_rows(
                 m,
                 first: p0 == 0 && !cont,
             };
-            tile_panels(tier, &tile, pb, k, p0, block);
+            tile_panels(tier, &tile, b, p0, block);
             bi += mr;
         }
         p0 += kc;
     }
 }
 
-/// One `(k-block, row-panel)` pair of the tiled kernel: where its `MR` rows
+/// One `(k-block, row-panel)` pair of the tiled kernel: where its `R` rows
 /// of `A` start and where its `mr` output rows sit in the worker's block.
-pub(crate) struct Tile<'a> {
+pub(crate) struct Tile<'a, const R: usize> {
     /// The whole `A` operand, in either layout.
     pub(crate) a: &'a [f32],
     /// Offset in `a` of `A(row bi + r, p0)` for each tile row `r`.
-    pub(crate) rows: [usize; MR],
+    pub(crate) rows: [usize; R],
     /// Stride in `a` from `A(i, p)` to `A(i, p + 1)`.
     pub(crate) ps: usize,
     /// Depth of this k-block.
     pub(crate) kc: usize,
     /// First output row of the tile within the block.
     pub(crate) bi: usize,
-    /// Valid rows (`<= MR`).
+    /// Valid rows (`<= R`).
     pub(crate) mr: usize,
     /// Row stride of the block (the product's `m`).
     pub(crate) m: usize,
@@ -634,43 +791,51 @@ pub(crate) struct Tile<'a> {
     pub(crate) first: bool,
 }
 
-impl Tile<'_> {
+impl<const R: usize> Tile<'_, R> {
     /// `A(row bi + r, p0 + p)`.
     #[inline(always)]
     pub(crate) fn a_at(&self, r: usize, p: usize) -> f32 {
         self.a[self.rows[r] + p * self.ps]
     }
+
+    /// Where each tile row's `A(row bi + r, p0)` sits; row `r`'s term `p`
+    /// is `row_ptrs()[r].add(p * ps)`, in bounds for `p < kc` (checked
+    /// when the tile is built).
+    #[inline(always)]
+    pub(crate) fn row_ptrs(&self) -> [*const f32; R] {
+        std::array::from_fn(|r| self.a.as_ptr().wrapping_add(self.rows[r]))
+    }
 }
 
 /// Run every column panel of one tile through the chosen tier's
-/// microkernel: AVX-512 in groups of up to [`AVX512_PANELS`], AVX2 and
-/// scalar one panel at a time. Partial last panels are handled inside each
-/// microkernel, and all three produce identical bits per element, so the
-/// tier never shows in outputs.
-fn tile_panels(tier: Tier, t: &Tile, pb: &[f32], k: usize, p0: usize, block: &mut [f32]) {
+/// microkernel: AVX-512 in groups of up to [`AVX512_PANELS`] (one panel in
+/// a tall tile), AVX2 and scalar one panel at a time. Partial last panels
+/// are handled inside each microkernel, and all three produce identical
+/// bits per element, so the tier never shows in outputs.
+fn tile_panels<const R: usize>(tier: Tier, t: &Tile<R>, src: BPanel, p0: usize, block: &mut [f32]) {
     let panels = t.m.div_ceil(NR);
-    let stride = k * NR;
-    // Panel jp's rows p0 .. p0 + kc, running on to the end of the packed B
-    // (the AVX-512 group reads its later panels at `stride` from here).
-    let bpanel = |jp: usize| &pb[jp * stride + p0 * NR..];
+    // Panel jp's rows from p0 on, running on to the end of `B` (the
+    // AVX-512 group reads its later panels at `qs` from here).
+    let bpanel = |jp: usize| src.at(p0, jp);
     let mut jp = 0;
     while jp < panels {
         let j0 = jp * NR;
         let group = match tier {
             #[cfg(target_arch = "x86_64")]
             Tier::Avx512 => {
-                let np = AVX512_PANELS.min(panels - jp);
+                let most = if R == MR { AVX512_PANELS } else { 1 };
+                let np = most.min(panels - jp);
                 let b = bpanel(jp);
                 // SAFETY: tier() == Avx512 only when AVX-512F is detected;
-                // panels jp .. jp + np exist in the packed B (each `kc * NR`
-                // values from p0, at `stride`), so j0 + (np - 1) * NR < m;
-                // rows bi .. bi + mr are inside this worker's block.
+                // panels jp .. jp + np hold `kc` rows of `B` from p0 (each
+                // at `qs` from the last), so j0 + (np - 1) * NR < m; rows
+                // bi .. bi + mr are inside this worker's block.
                 unsafe {
                     match np {
-                        4 => simd::micro_avx512::<4>(t, b, stride, block, j0),
-                        3 => simd::micro_avx512::<3>(t, b, stride, block, j0),
-                        2 => simd::micro_avx512::<2>(t, b, stride, block, j0),
-                        _ => simd::micro_avx512::<1>(t, b, stride, block, j0),
+                        4 => simd::micro_avx512::<4, R>(t, b, block, j0),
+                        3 => simd::micro_avx512::<3, R>(t, b, block, j0),
+                        2 => simd::micro_avx512::<2, R>(t, b, block, j0),
+                        _ => simd::micro_avx512::<1, R>(t, b, block, j0),
                     }
                 }
                 np
@@ -678,7 +843,7 @@ fn tile_panels(tier: Tier, t: &Tile, pb: &[f32], k: usize, p0: usize, block: &mu
             #[cfg(target_arch = "x86_64")]
             Tier::Avx2 => {
                 // SAFETY: tier() >= Avx2 only when AVX2 is detected; panel
-                // jp holds `kc * NR` values from p0 and j0 < m; rows
+                // jp holds `kc` rows of `B` from p0 and j0 < m; rows
                 // bi .. bi + mr are inside this worker's block.
                 unsafe { simd::micro_avx2(t, bpanel(jp), block, j0) };
                 1
@@ -699,12 +864,13 @@ const SCALAR_MR: usize = 2;
 /// The scalar tier on one panel: the tile's rows in `SCALAR_MR x NR`
 /// register tiles. Each accumulates `kc` rank-1 updates into stack
 /// accumulators, then stores its valid rows and the panel's valid columns
-/// (`nr < NR` only on the last panel) back to `C`.
+/// (`nr < NR` only on the last panel) back to `C`. `B`'s rows are read in
+/// place; the last panel's are copied into a zero-padded row first.
 ///
 /// When `first` is false the tile reloads the partial sums already in `C`
 /// (written by earlier `KC` blocks), so each element's accumulation chain
 /// spans the blocks in ascending `k` order — the naive loop's exact order.
-fn microkernel(t: &Tile, pb: &[f32], block: &mut [f32], j0: usize) {
+fn microkernel<const R: usize>(t: &Tile<R>, b: BPanel, block: &mut [f32], j0: usize) {
     let (kc, bi, m, mr) = (t.kc, t.bi, t.m, t.mr);
     let nr = NR.min(m - j0);
     for r0 in (0..mr).step_by(SCALAR_MR) {
@@ -716,21 +882,110 @@ fn microkernel(t: &Tile, pb: &[f32], block: &mut [f32], j0: usize) {
                 row[..nr].copy_from_slice(&block[c_at(r)..c_at(r) + nr]);
             }
         }
-        // The hot loop: SCALAR_MR loads of A, one NR-wide load of B,
+        // The hot loop: SCALAR_MR loads of A, one NR-wide row of B,
         // SCALAR_MR*NR independent multiply-adds per k step. Each
         // acc[r][c] is a single accumulator chain in ascending k —
         // autovectorizes without changing per-element rounding order.
-        for p in 0..kc {
-            let brow = &pb[p * NR..p * NR + NR];
-            for (r, row) in acc.iter_mut().enumerate() {
-                let av = t.a_at(r0 + r, p);
-                for (o, &bv) in row.iter_mut().zip(brow) {
-                    *o += av * bv;
+        // B's row goes through `brow`, whose columns past `nr` stay zero
+        // on the last panel. The two loops differ only in that copy; a
+        // copy of `nr` values would be a `memcpy` call, around which `acc`
+        // would spill on every step.
+        let mut brow = [0.0f32; NR];
+        if nr == NR {
+            for p in 0..kc {
+                brow.copy_from_slice(&b.b[p * b.rs..p * b.rs + NR]);
+                rank1(&mut acc, |r| t.a_at(r0 + r, p), &brow);
+            }
+        } else {
+            for p in 0..kc {
+                let src = &b.b[p * b.rs..p * b.rs + nr];
+                for (c, d) in brow.iter_mut().enumerate() {
+                    *d = if c < nr { src[c] } else { 0.0 };
                 }
+                rank1(&mut acc, |r| t.a_at(r0 + r, p), &brow);
             }
         }
         for (r, row) in acc.iter().enumerate().take(rows) {
             block[c_at(r)..c_at(r) + nr].copy_from_slice(&row[..nr]);
+        }
+    }
+}
+
+/// The `m = 1` product `out[i] (+)= Σ_p a[i·lda + p] · b[p]`, one naive
+/// chain per output: lane dots, 16 (AVX-512) or 8 (AVX2) outputs per
+/// vector, each lane seeded with `+0.0` or, with `cont`, with its output's
+/// own value, and a zero `a` adding `-0.0` (the naive loop's skip). The
+/// last outputs, and every output on the scalar tier, run the naive chain
+/// in a register.
+fn matvec_into(a: &[f32], lda: usize, b: &[f32], out: &mut [f32], k: usize, cont: bool) {
+    parallel::for_each_row_block_mut(out, 1, matvec_work(k, false), |i0, block| {
+        let x = &a[i0 * lda..];
+        // SAFETY: the tier is detected (or capped below) on this host; row
+        // l of the block is `x[l·lda .. l·lda + k]`, inside `a` by the
+        // caller's stride check, and `b` holds `k` values.
+        #[cfg(target_arch = "x86_64")]
+        let done = match simd::tier() {
+            _ if x.len().max(b.len()) > i32::MAX as usize => 0,
+            Tier::Avx512 => unsafe {
+                simd::dots_avx512::<true>(block, x, lda, b, 0, None, k, cont)
+            },
+            Tier::Avx2 => unsafe { simd::dots_avx2::<true>(block, x, lda, b, 0, None, k, cont) },
+            Tier::Scalar => 0,
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let done = 0;
+        for (l, o) in block.iter_mut().enumerate().skip(done) {
+            let mut acc = if cont { *o } else { 0.0 };
+            for (&av, &bv) in x[l * lda..l * lda + k].iter().zip(b) {
+                if av != 0.0 {
+                    acc += av * bv;
+                }
+            }
+            *o = acc;
+        }
+    });
+}
+
+/// The `m = 1` transposed product `out[i] = Σ_p a[p·lda + i] · b[p·ldb]`:
+/// per term, one contiguous axpy of `a`'s row over the outputs, each
+/// output keeping its naive chain (`+0.0`, a zero `a` adding nothing).
+/// The vector tiers hold up to 64 (AVX-512) or 32 (AVX2) outputs in
+/// registers for the whole `k`.
+fn axpy_into(a: &[f32], lda: usize, b: &[f32], ldb: usize, out: &mut [f32], k: usize) {
+    parallel::for_each_row_block_mut(out, 1, matvec_work(k, true), |i0, block| {
+        let a = &a[i0..];
+        match simd::tier() {
+            // SAFETY: the tier is detected (or capped below) on this host;
+            // the caller's stride checks put `(k - 1)·lda + n` values in
+            // `a` and `(k - 1)·ldb + 1` in `b`.
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512 => unsafe { simd::axpy_avx512(block, a, lda, b, ldb, k) },
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => unsafe { simd::axpy_avx2(block, a, lda, b, ldb, k) },
+            _ => {
+                block.fill(0.0);
+                let rows = block.len();
+                for p in 0..k {
+                    let bp = b[p * ldb];
+                    for (o, &av) in block.iter_mut().zip(&a[p * lda..p * lda + rows]) {
+                        if av != 0.0 {
+                            *o += av * bp;
+                        }
+                    }
+                }
+            }
+        }
+    });
+}
+
+/// One step of the scalar tile: `acc[r][c] += a(r) * b[c]`, each element
+/// its own chain.
+#[inline(always)]
+fn rank1(acc: &mut [[f32; NR]; SCALAR_MR], a: impl Fn(usize) -> f32, b: &[f32; NR]) {
+    for (r, row) in acc.iter_mut().enumerate() {
+        let av = a(r);
+        for (o, &bv) in row.iter_mut().zip(b) {
+            *o += av * bv;
         }
     }
 }
@@ -876,8 +1131,10 @@ pub fn dots_into(
         // The vector kernels gather a chunk's last few terms by `i32`
         // offsets.
         _ if x.len().max(y.len()) > i32::MAX as usize => 0,
-        Tier::Avx512 => unsafe { simd::dots_avx512(out, x, xs, y, ys, ids, len) },
-        Tier::Avx2 => unsafe { simd::dots_avx2(out, x, xs, y, ys, ids, len) },
+        Tier::Avx512 => unsafe {
+            simd::dots_avx512::<false>(out, x, xs, y, ys, Some(ids), len, false)
+        },
+        Tier::Avx2 => unsafe { simd::dots_avx2::<false>(out, x, xs, y, ys, Some(ids), len, false) },
         Tier::Scalar => 0,
     };
     #[cfg(not(target_arch = "x86_64"))]

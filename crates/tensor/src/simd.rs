@@ -8,11 +8,17 @@
 //! portable fallback (any non-x86_64 target, a host without AVX2+FMA, or
 //! `SITEREC_NO_SIMD=1`). The matmul has two vector [`Tier`]s:
 //!
-//! | tier     | needs               | one 16-column B panel | register tile        |
-//! |----------|---------------------|-----------------------|----------------------|
-//! | `avx512` | AVX-512F, AVX2, FMA | one zmm               | 4 rows x 4 panels    |
-//! | `avx2`   | AVX2, FMA           | two ymm               | 4 rows x 1 panel     |
-//! | `scalar` | —                   | 16 `f32`              | 4 rows x 1 panel     |
+//! | tier     | needs               | one 16-column B panel | register tile                                |
+//! |----------|---------------------|-----------------------|----------------------------------------------|
+//! | `avx512` | AVX-512F, AVX2, FMA | one zmm               | 4 rows x 4 panels, or 8–16 rows x 1 panel    |
+//! | `avx2`   | AVX2, FMA           | two ymm               | 4 rows x 1 panel                             |
+//! | `scalar` | —                   | 16 `f32`              | 4 rows x 1 panel                             |
+//!
+//! The rows per tile are a const generic of the microkernels; the narrow
+//! route of [`kernels`](crate::kernels) takes the taller one-panel tiles.
+//! The one-column products run on lane dots ([`dots_avx512`],
+//! [`dots_avx2`], the edge attention's kernels with a naive chain) or, for
+//! `matmul_tn`, on a register-held axpy (`axpy_avx512`, `axpy_avx2`).
 //!
 //! Segment softmax and Adam have one vector version, AVX2 8-lane, taken on
 //! both vector tiers. The edge attention's gathered dots
@@ -31,12 +37,21 @@
 //!   within one element. Products use a separate mul + add (two roundings,
 //!   exactly like the scalar `acc += a * b`); FMA *contraction* is
 //!   deliberately not used, because its single rounding would diverge from
-//!   the scalar reference and from every historical artifact. The last,
-//!   partial panel of a product runs the same full-width arithmetic over
-//!   the zero-padded packed `B`, and masked loads and stores
-//!   (`_mm512_mask{z_loadu,_storeu}_ps`, `_mm256_mask{load,store}_ps`)
-//!   confine the reads and writes of `C` to its valid columns: a padded
-//!   lane is computed but never stored, so it cannot reach an output.
+//!   the scalar reference and from every historical artifact. A row-major
+//!   `B` is read where it lies, at its row stride: the loads of a panel's
+//!   row of `B` are masked to the panel's valid columns
+//!   (`_mm512_maskz_loadu_ps`, `_mm256_maskload_ps` on the last, partial
+//!   panel), so no load reaches past the last column of `B`'s last row,
+//!   and a masked-off lane holds `0.0`, as the zero padding of a packed
+//!   panel (the transposed `B` of `matmul_nt`) does. The loads and stores
+//!   of `C` (`_mm512_mask{z_loadu,_storeu}_ps`,
+//!   `_mm256_mask{load,store}_ps`) are masked the same way: a padded lane
+//!   is computed but never stored, so it cannot reach an output.
+//! * **One-column products** — lane `l` is output `l`'s chain, seeded
+//!   with `+0.0` (or the output's value when the product continues one),
+//!   and a zero `a` term adds `-0.0` instead of its product. `x + -0.0` is
+//!   `x` for every `x`, so that is the scalar loop's skip of the term,
+//!   bit for bit; the terms go in ascending `p`, one add each.
 //! * **Segment softmax** — the transcendental is [`exp_det`], a branchless
 //!   polynomial evaluated with an identical mul/add sequence in the scalar
 //!   and 8-lane versions, so `exp_det(x)` produces the same bits whether
@@ -325,7 +340,7 @@ mod x86 {
 
     use super::exp_consts::*;
     use super::{EXP_HI, EXP_LO};
-    use crate::kernels::{AdamConsts, Tile, MR, NR};
+    use crate::kernels::{AdamConsts, BPanel, Tile, NR};
     use std::arch::x86_64::*;
 
     /// 8-lane [`exp_det`](super::exp_det): identical clamp / reduction /
@@ -359,29 +374,39 @@ mod x86 {
         _mm256_mul_ps(y, scale)
     }
 
-    /// The packed-panel microkernel on one `NR = 16` column panel: a
-    /// `4 x 16` register tile held in 8 ymm accumulators, two per row.
-    /// `acc += a * b` is separate mul + add — two roundings per term in
-    /// ascending `k`, exactly the scalar chain. `C` is read and written
-    /// through lane masks that cover the panel's valid columns, so the
-    /// last, partial panel of a product needs no separate path.
+    /// The microkernel on one `NR = 16` column panel: an `R x 16` register
+    /// tile held in `2R` ymm accumulators, two per row. `acc += a * b` is
+    /// separate mul + add — two roundings per term in ascending `k`,
+    /// exactly the scalar chain. `B` is read where it lies ([`BPanel`]),
+    /// and `B` and `C` are read and written through lane masks that cover
+    /// the panel's valid columns, so the last, partial panel of a product
+    /// needs no separate path and reads nothing past its columns.
     ///
     /// # Safety
-    /// Requires AVX2; `pb` holds at least `t.kc * NR` packed B values,
+    /// Requires AVX2; `b` holds the panel's `t.kc` rows (see [`BPanel`]),
     /// `j0 < t.m`, and rows `t.bi..t.bi+t.mr` must be in-bounds in `block`
-    /// (row stride `t.m`). `A` is read through the bounds-checked
-    /// [`Tile::a_at`].
+    /// (row stride `t.m`). `A` is read through [`Tile::row_ptrs`], whose
+    /// reach the tile's builder checked.
     #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn micro_avx2(t: &Tile, pb: &[f32], block: &mut [f32], j0: usize) {
+    pub(crate) unsafe fn micro_avx2<const R: usize>(
+        t: &Tile<R>,
+        b: BPanel,
+        block: &mut [f32],
+        j0: usize,
+    ) {
         let (kc, bi, m, mr) = (t.kc, t.bi, t.m, t.mr);
-        // The high half may start past the end of `block` when the panel
-        // has 8 or fewer columns; `wrapping_add` keeps forming that address
-        // defined, and its all-clear mask keeps it from being accessed.
-        let cols = _mm256_set1_epi32((m - j0).min(NR) as i32);
+        let nr = (m - j0).min(NR);
+        b.debug_check(kc, 1, nr);
+        // The high half may start past the end of `block` (or of `B`)
+        // when the panel has 8 or fewer columns; `wrapping_add` keeps
+        // forming that address defined, and its all-clear mask keeps it
+        // from being accessed.
+        let cols = _mm256_set1_epi32(nr as i32);
         let lo = _mm256_cmpgt_epi32(cols, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
         let hi = _mm256_cmpgt_epi32(cols, _mm256_setr_epi32(8, 9, 10, 11, 12, 13, 14, 15));
-        let mut acc0: [__m256; MR] = [_mm256_setzero_ps(); MR];
-        let mut acc1: [__m256; MR] = [_mm256_setzero_ps(); MR];
+        let full = nr == NR;
+        let mut acc0: [__m256; R] = [_mm256_setzero_ps(); R];
+        let mut acc1: [__m256; R] = [_mm256_setzero_ps(); R];
         if !t.first {
             for r in 0..mr {
                 let p = block.as_ptr().add((bi + r) * m + j0);
@@ -389,11 +414,19 @@ mod x86 {
                 acc1[r] = _mm256_maskload_ps(p.wrapping_add(8), hi);
             }
         }
+        let ap = t.row_ptrs();
         for p in 0..kc {
-            let b0 = _mm256_loadu_ps(pb.as_ptr().add(p * NR));
-            let b1 = _mm256_loadu_ps(pb.as_ptr().add(p * NR + 8));
-            for r in 0..MR {
-                let av = _mm256_set1_ps(t.a_at(r, p));
+            let row = b.b.as_ptr().wrapping_add(p * b.rs);
+            let (b0, b1) = if full {
+                (_mm256_loadu_ps(row), _mm256_loadu_ps(row.add(8)))
+            } else {
+                (
+                    _mm256_maskload_ps(row, lo),
+                    _mm256_maskload_ps(row.wrapping_add(8), hi),
+                )
+            };
+            for r in 0..R {
+                let av = _mm256_set1_ps(*ap[r].add(p * t.ps));
                 acc0[r] = _mm256_add_ps(acc0[r], _mm256_mul_ps(av, b0));
                 acc1[r] = _mm256_add_ps(acc1[r], _mm256_mul_ps(av, b1));
             }
@@ -405,33 +438,33 @@ mod x86 {
         }
     }
 
-    /// The packed-panel microkernel on `NP` (1..=4) adjacent `NR = 16`
-    /// column panels: a `4 x 16·NP` register tile with one zmm accumulator
-    /// per row and panel (16 at `NP = 4`). Same per-element arithmetic as
-    /// [`micro_avx2`]; each panel's loads and stores of `C` are masked to
-    /// its valid columns.
+    /// The microkernel on `NP` (1..=4) adjacent `NR = 16` column panels:
+    /// an `R x 16·NP` register tile with one zmm accumulator per row and
+    /// panel (16 at `R = 4, NP = 4`, or `R` in the one-panel tall tiles).
+    /// Same per-element arithmetic as [`micro_avx2`]; each panel's loads
+    /// of `B` and loads and stores of `C` are masked to its valid columns.
     ///
     /// # Safety
-    /// Requires AVX-512F; panel `q` of the group starts at `pb[q * stride]`
-    /// and `pb` holds its `t.kc * NR` packed B values from there;
-    /// `j0 + (NP - 1) * NR < t.m`; and rows `t.bi..t.bi+t.mr` must be
-    /// in-bounds in `block` (row stride `t.m`). `A` is read through the
-    /// bounds-checked [`Tile::a_at`].
+    /// Requires AVX-512F; `b` holds the group's `t.kc` rows of `NP` panels
+    /// (see [`BPanel`]); `j0 + (NP - 1) * NR < t.m`; and rows
+    /// `t.bi..t.bi+t.mr` must be in-bounds in `block` (row stride `t.m`).
+    /// `A` is read through [`Tile::row_ptrs`], whose reach the tile's
+    /// builder checked.
     #[target_feature(enable = "avx512f")]
-    pub(crate) unsafe fn micro_avx512<const NP: usize>(
-        t: &Tile,
-        pb: &[f32],
-        stride: usize,
+    pub(crate) unsafe fn micro_avx512<const NP: usize, const R: usize>(
+        t: &Tile<R>,
+        b: BPanel,
         block: &mut [f32],
         j0: usize,
     ) {
         let (kc, bi, m, mr) = (t.kc, t.bi, t.m, t.mr);
+        b.debug_check(kc, NP, (m - j0 - (NP - 1) * NR).min(NR));
         let mut mask: [__mmask16; NP] = [0; NP];
         for (q, mk) in mask.iter_mut().enumerate() {
             let cols = (m - j0 - q * NR).min(NR);
             *mk = (((1u32 << cols) - 1) & 0xffff) as __mmask16;
         }
-        let mut acc: [[__m512; NP]; MR] = [[_mm512_setzero_ps(); NP]; MR];
+        let mut acc: [[__m512; NP]; R] = [[_mm512_setzero_ps(); NP]; R];
         if !t.first {
             for r in 0..mr {
                 let c = block.as_ptr().add((bi + r) * m + j0);
@@ -440,13 +473,15 @@ mod x86 {
                 }
             }
         }
+        let ap = t.row_ptrs();
         for p in 0..kc {
             let mut bv: [__m512; NP] = [_mm512_setzero_ps(); NP];
             for q in 0..NP {
-                bv[q] = _mm512_loadu_ps(pb.as_ptr().add(q * stride + p * NR));
+                let row = b.b.as_ptr().wrapping_add(q * b.qs + p * b.rs);
+                bv[q] = _mm512_maskz_loadu_ps(mask[q], row);
             }
-            for r in 0..MR {
-                let av = _mm512_set1_ps(t.a_at(r, p));
+            for r in 0..R {
+                let av = _mm512_set1_ps(*ap[r].add(p * t.ps));
                 for q in 0..NP {
                     acc[r][q] = _mm512_add_ps(acc[r][q], _mm512_mul_ps(av, bv[q]));
                 }
@@ -460,22 +495,50 @@ mod x86 {
         }
     }
 
+    /// One lane's product term: `a * b`, or, on a naive chain, `-0.0` when
+    /// `a == 0.0`. `-0.0` is the exact identity of IEEE addition (`x +
+    /// -0.0` is `x` for every `x`, `+0.0` included), so adding it is the
+    /// naive loop's skip of a zero `a`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn term16<const NAIVE: bool>(a: __m512, b: __m512) -> __m512 {
+        if NAIVE {
+            let nz = _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(a, _mm512_setzero_ps());
+            _mm512_mask_mul_ps(_mm512_set1_ps(-0.0), nz, a, b)
+        } else {
+            _mm512_mul_ps(a, b)
+        }
+    }
+
+    /// [`term16`] on 8 lanes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn term8<const NAIVE: bool>(a: __m256, b: __m256) -> __m256 {
+        if NAIVE {
+            let nz = _mm256_cmp_ps::<_CMP_NEQ_UQ>(a, _mm256_setzero_ps());
+            _mm256_blendv_ps(_mm256_set1_ps(-0.0), _mm256_mul_ps(a, b), nz)
+        } else {
+            _mm256_mul_ps(a, b)
+        }
+    }
+
     /// Columns below which the last chunk of terms is gathered lane by
     /// lane instead of transposed: a transpose costs the same at any width.
     const TRANSPOSE_MIN: usize = 8;
 
-    /// Output `j`'s two rows (see [`dots_into`](crate::kernels::dots_into)).
+    /// Output `j`'s two rows (see [`dots_into`](crate::kernels::dots_into));
+    /// without `ids` every output shares the one `y` row.
     #[inline(always)]
     fn rows_of(
         x: &[f32],
         xs: usize,
         y: &[f32],
         ys: usize,
-        ids: &[usize],
+        ids: Option<&[usize]>,
         j: usize,
     ) -> (*const f32, *const f32) {
-        let (xo, yo) = (j * xs, ids[j] * ys);
-        (x.as_ptr().wrapping_add(xo), y.as_ptr().wrapping_add(yo))
+        let yo = ids.map_or(0, |ids| ids[j] * ys);
+        (x.as_ptr().wrapping_add(j * xs), y.as_ptr().wrapping_add(yo))
     }
 
     /// The offsets of the rows of outputs `j .. j + L`, as `i32` gather
@@ -484,12 +547,12 @@ mod x86 {
     fn row_offsets<const L: usize>(
         xs: usize,
         ys: usize,
-        ids: &[usize],
+        ids: Option<&[usize]>,
         j: usize,
     ) -> ([i32; L], [i32; L]) {
         (
             std::array::from_fn(|l| ((j + l) * xs) as i32),
-            std::array::from_fn(|l| (ids[j + l] * ys) as i32),
+            std::array::from_fn(|l| ids.map_or(0, |ids| ids[j + l] * ys) as i32),
         )
     }
 
@@ -546,31 +609,42 @@ mod x86 {
         }
     }
 
-    /// [`dots_into`](crate::kernels::dots_into) 16 outputs per zmm, lane
-    /// `l` holding output `l`'s chain (`-0.0`, then one mul and one add
-    /// per term). Each chunk of up to 16 terms is multiplied row by row
-    /// (masked loads of each lane's two rows), and the 16 product rows are
-    /// transposed so that term `p` of every lane sits in one vector, which
-    /// the chains then add in ascending `p`. A last chunk narrower than
-    /// `TRANSPOSE_MIN` gathers each lane's terms by `i32` offsets instead.
-    /// Returns how many outputs it wrote (whole groups of 16).
+    /// Lane dots 16 outputs per zmm, lane `l` holding output `l`'s chain:
+    /// [`dots_into`](crate::kernels::dots_into) with `NAIVE = false` and
+    /// `ids` given (the chain starts at `-0.0`, the scalar
+    /// `Iterator::sum`), or the `m = 1` matmul's naive chain with
+    /// `NAIVE = true` and no `ids` (every output's `y` row is the vector
+    /// `b`; the chain starts at `+0.0`, or at the output's own value with
+    /// `cont`, and a zero `a` adds `-0.0`, as `term16` says). Each chunk of
+    /// up to 16 terms is multiplied row by row (masked loads of each
+    /// lane's two rows), and the 16 product rows are transposed so that
+    /// term `p` of every lane sits in one vector, which the chains then
+    /// add in ascending `p`. A last chunk narrower than `TRANSPOSE_MIN`
+    /// gathers each lane's terms by `i32` offsets instead. Returns how
+    /// many outputs it wrote (whole groups of 16).
     ///
     /// # Safety
     /// Requires AVX-512F; every row the outputs read is in bounds, and
-    /// `x.len()` and `y.len()` fit an `i32` (`dots_into` checks both).
+    /// `x.len()` and `y.len()` fit an `i32` (the callers check both).
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn dots_avx512(
+    pub unsafe fn dots_avx512<const NAIVE: bool>(
         out: &mut [f32],
         x: &[f32],
         xs: usize,
         y: &[f32],
         ys: usize,
-        ids: &[usize],
+        ids: Option<&[usize]>,
         len: usize,
+        cont: bool,
     ) -> usize {
         let n = out.len() & !15;
+        let seed = _mm512_set1_ps(if NAIVE { 0.0 } else { -0.0 });
         for j in (0..n).step_by(16) {
-            let mut acc = _mm512_set1_ps(-0.0);
+            let mut acc = if cont {
+                _mm512_loadu_ps(out.as_ptr().add(j))
+            } else {
+                seed
+            };
             let mut c0 = 0;
             while c0 < len {
                 let w = (len - c0).min(16);
@@ -581,7 +655,7 @@ mod x86 {
                     for p in c0..len {
                         let a = _mm512_i32gather_ps::<4>(xo, x.as_ptr().add(p));
                         let b = _mm512_i32gather_ps::<4>(yo, y.as_ptr().add(p));
-                        acc = _mm512_add_ps(acc, _mm512_mul_ps(a, b));
+                        acc = _mm512_add_ps(acc, term16::<NAIVE>(a, b));
                     }
                     break;
                 }
@@ -591,7 +665,7 @@ mod x86 {
                     let (xr, yr) = rows_of(x, xs, y, ys, ids, j + l);
                     let a = _mm512_maskz_loadu_ps(mask, xr.add(c0));
                     let b = _mm512_maskz_loadu_ps(mask, yr.add(c0));
-                    *rl = _mm512_mul_ps(a, b);
+                    *rl = term16::<NAIVE>(a, b);
                 }
                 transpose16(&mut r);
                 for col in &r[..w] {
@@ -608,21 +682,27 @@ mod x86 {
     ///
     /// # Safety
     /// Requires AVX2; every row the outputs read is in bounds, and
-    /// `x.len()` and `y.len()` fit an `i32` (`dots_into` checks both).
+    /// `x.len()` and `y.len()` fit an `i32` (the callers check both).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn dots_avx2(
+    pub unsafe fn dots_avx2<const NAIVE: bool>(
         out: &mut [f32],
         x: &[f32],
         xs: usize,
         y: &[f32],
         ys: usize,
-        ids: &[usize],
+        ids: Option<&[usize]>,
         len: usize,
+        cont: bool,
     ) -> usize {
         let n = out.len() & !7;
         let idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let seed = _mm256_set1_ps(if NAIVE { 0.0 } else { -0.0 });
         for j in (0..n).step_by(8) {
-            let mut acc = _mm256_set1_ps(-0.0);
+            let mut acc = if cont {
+                _mm256_loadu_ps(out.as_ptr().add(j))
+            } else {
+                seed
+            };
             let mut c0 = 0;
             while c0 < len {
                 let w = (len - c0).min(8);
@@ -633,7 +713,7 @@ mod x86 {
                     for p in c0..len {
                         let a = _mm256_i32gather_ps::<4>(x.as_ptr().add(p), xo);
                         let b = _mm256_i32gather_ps::<4>(y.as_ptr().add(p), yo);
-                        acc = _mm256_add_ps(acc, _mm256_mul_ps(a, b));
+                        acc = _mm256_add_ps(acc, term8::<NAIVE>(a, b));
                     }
                     break;
                 }
@@ -643,7 +723,7 @@ mod x86 {
                     let (xr, yr) = rows_of(x, xs, y, ys, ids, j + l);
                     let a = _mm256_maskload_ps(xr.add(c0), mask);
                     let b = _mm256_maskload_ps(yr.add(c0), mask);
-                    *rl = _mm256_mul_ps(a, b);
+                    *rl = term8::<NAIVE>(a, b);
                 }
                 transpose8(&mut r);
                 for col in &r[..w] {
@@ -654,6 +734,109 @@ mod x86 {
             _mm256_storeu_ps(out.as_mut_ptr().add(j), acc);
         }
         n
+    }
+
+    /// The `m = 1` transposed product `out[i] = Σ_p a[p·lda + i] · b[p·ldb]`
+    /// as one contiguous axpy over the outputs per term: up to 64 outputs
+    /// at a time stay in four zmm accumulators for the whole `k`, and term
+    /// `p` adds its row of `a` times the broadcast `b[p·ldb]` to them —
+    /// each output's naive chain (`+0.0`, then one mul and one add per
+    /// term in ascending `p`, a zero `a` adding `-0.0`). The last strip's
+    /// loads and stores are masked to its outputs.
+    ///
+    /// # Safety
+    /// Requires AVX-512F; `a` holds `(k - 1)·lda + out.len()` values and
+    /// `b` holds `(k - 1)·ldb + 1`.
+    #[target_feature(enable = "avx512f")]
+    pub(crate) unsafe fn axpy_avx512(
+        out: &mut [f32],
+        a: &[f32],
+        lda: usize,
+        b: &[f32],
+        ldb: usize,
+        k: usize,
+    ) {
+        debug_assert!(k == 0 || ((k - 1) * lda + out.len() <= a.len() && (k - 1) * ldb < b.len()));
+        let mut s = 0;
+        while s < out.len() {
+            let w = (out.len() - s).min(64);
+            let strip = (&mut out[s..s + w], a.as_ptr().add(s));
+            match w.div_ceil(16) {
+                4 => axpy_strip_avx512::<4>(strip, lda, b, ldb, k),
+                3 => axpy_strip_avx512::<3>(strip, lda, b, ldb, k),
+                2 => axpy_strip_avx512::<2>(strip, lda, b, ldb, k),
+                _ => axpy_strip_avx512::<1>(strip, lda, b, ldb, k),
+            }
+            s += w;
+        }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn axpy_strip_avx512<const Q: usize>(
+        (out, a): (&mut [f32], *const f32),
+        lda: usize,
+        b: &[f32],
+        ldb: usize,
+        k: usize,
+    ) {
+        let mask: [__mmask16; Q] = std::array::from_fn(|q| {
+            let cols = (out.len() - q * 16).min(16);
+            (((1u32 << cols) - 1) & 0xffff) as __mmask16
+        });
+        let mut acc = [_mm512_setzero_ps(); Q];
+        for p in 0..k {
+            let bv = _mm512_set1_ps(*b.get_unchecked(p * ldb));
+            let row = a.add(p * lda);
+            for q in 0..Q {
+                let av = _mm512_maskz_loadu_ps(mask[q], row.add(q * 16));
+                acc[q] = _mm512_add_ps(acc[q], term16::<true>(av, bv));
+            }
+        }
+        for q in 0..Q {
+            _mm512_mask_storeu_ps(out.as_mut_ptr().add(q * 16), mask[q], acc[q]);
+        }
+    }
+
+    /// [`axpy_avx512`] on ymm: up to 32 outputs in four accumulators.
+    ///
+    /// # Safety
+    /// Requires AVX2; as [`axpy_avx512`].
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn axpy_avx2(
+        out: &mut [f32],
+        a: &[f32],
+        lda: usize,
+        b: &[f32],
+        ldb: usize,
+        k: usize,
+    ) {
+        debug_assert!(k == 0 || ((k - 1) * lda + out.len() <= a.len() && (k - 1) * ldb < b.len()));
+        let idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let mut s = 0;
+        while s < out.len() {
+            let w = (out.len() - s).min(32);
+            let mask: [__m256i; 4] = std::array::from_fn(|q| {
+                _mm256_cmpgt_epi32(_mm256_set1_epi32(w as i32 - 8 * q as i32), idx)
+            });
+            let mut acc = [_mm256_setzero_ps(); 4];
+            let base = a.as_ptr().add(s);
+            let q_n = w.div_ceil(8);
+            for p in 0..k {
+                let bv = _mm256_set1_ps(*b.get_unchecked(p * ldb));
+                let row = base.add(p * lda);
+                for q in 0..4 {
+                    if q < q_n {
+                        let av = _mm256_maskload_ps(row.add(q * 8), mask[q]);
+                        acc[q] = _mm256_add_ps(acc[q], term8::<true>(av, bv));
+                    }
+                }
+            }
+            for q in 0..q_n {
+                _mm256_maskstore_ps(out.as_mut_ptr().add(s + q * 8), mask[q], acc[q]);
+            }
+            s += w;
+        }
     }
 
     /// Fused Adam update over whole 8-lane chunks of one contiguous split;

@@ -270,7 +270,8 @@ fn transpose_free_vs_transposed(rng: &mut StdRng, n: usize, k: usize, m: usize) 
 /// Matmul-backward shapes: weight gradients (`n` = a layer's fan-in, `k` =
 /// batch rows, `m` = fan-out: tall-and-skinny `a`) and input gradients
 /// (`n` = batch rows, `k` = fan-out, `m` = fan-in), both sides of the
-/// threshold.
+/// threshold, including a one-column head's (`m = 1`, and `k = 1` for its
+/// input gradient) and a three-wide layer's.
 const GRAD_SHAPES: &[(usize, usize, usize)] = &[
     (102, 700, 60),
     (12, 1500, 12),
@@ -279,6 +280,10 @@ const GRAD_SHAPES: &[(usize, usize, usize)] = &[
     (700, 60, 102),
     (1500, 12, 12),
     (40, 20, 63),
+    (40, 1700, 1),
+    (1700, 1, 40),
+    (1700, 40, 1),
+    (3, 1759, 60),
 ];
 
 #[test]
@@ -551,52 +556,157 @@ fn block_of(x: &[f32], ld: usize, rows: usize, c0: usize, cols: usize) -> Vec<f3
 }
 
 /// The strided products read one column block of a wider matrix in place;
-/// each must give the bits of copying the block out first, on both sides
-/// of the tiling threshold, at 1 and 4 threads.
+/// each must give the bits of copying the block out first, and the plain
+/// product must give the naive loop's, on both sides of the tiling
+/// threshold, under every tier, at 1 and 4 threads. Every operand slice is
+/// cut to exactly the reach of its block, `(rows - 1)·stride + width`
+/// values, so a kernel that reads past its last row or column panics.
 #[test]
 fn strided_products_match_the_copied_block() {
     let _l = lock();
     let mut rng = StdRng::seed_from_u64(0x57D);
     // (n, k, m, extra columns around the block): the attention heads'
-    // shapes (E x 12 x 12, E x 18 x 18) and the threshold's both sides.
-    let shapes = [
-        (700, 12, 12, 48),
-        (1500, 18, 18, 72),
-        (40, 12, 12, 24),
-        (9, 5, 3, 7),
-        (0, 4, 4, 4),
-    ];
-    for threads in [1usize, 4] {
-        let _g = ThreadGuard::set(threads);
-        for &(n, k, m, extra) in &shapes {
-            let c0 = extra / 2;
-            let (lda, ldb) = (k + extra, m + extra);
-            let mut a = vec![0.0f32; n * lda];
-            let mut at = vec![0.0f32; k * (n + extra)];
-            let mut b = vec![0.0f32; k * ldb];
-            let mut bt = vec![0.0f32; m * k];
-            for buf in [&mut a, &mut at, &mut b, &mut bt] {
-                adversarial_fill(buf, &mut rng);
+    // shapes at head widths 8, 12, 16 and 18 with E on both sides of the
+    // threshold (E·w·w against TILED_MIN_MACS), and small odd shapes.
+    let mut shapes = vec![(9, 5, 3, 7), (0, 4, 4, 4)];
+    for w in [8usize, 12, 16, 18] {
+        let e_min = TILED_MIN_MACS.div_ceil(w * w);
+        shapes.extend([(e_min - 1, w, w, 4 * w), (e_min + 37, w, w, 4 * w)]);
+    }
+    shapes.extend([(700, 12, 12, 48), (1500, 18, 18, 72)]);
+    for pair in shapes[2..10].chunks(2) {
+        let macs = |&(n, k, m, _): &(usize, usize, usize, usize)| n * k * m;
+        assert!(macs(&pair[0]) < TILED_MIN_MACS && macs(&pair[1]) >= TILED_MIN_MACS);
+    }
+    // Exactly the values a `rows x width` block at `stride` reaches.
+    let reach = |rows: usize, stride: usize, width: usize| {
+        if rows == 0 {
+            0
+        } else {
+            (rows - 1) * stride + width
+        }
+    };
+    for tier in TIERS {
+        for threads in [1usize, 4] {
+            let _g = ThreadGuard::set(threads);
+            for &(n, k, m, extra) in &shapes {
+                let c0 = extra / 2;
+                let (lda, ldb, ldt) = (k + extra, m + extra, n + extra);
+                let mut a = vec![0.0f32; n * lda];
+                let mut at = vec![0.0f32; k * ldt];
+                let mut b = vec![0.0f32; k * ldb];
+                let mut bt = vec![0.0f32; m * k];
+                for buf in [&mut a, &mut at, &mut b, &mut bt] {
+                    adversarial_fill(buf, &mut rng);
+                }
+                let cut = |x: &[f32], len: usize| x[c0.min(x.len())..][..len].to_vec();
+                let a_in = cut(&a, reach(n, lda, k));
+                let at_in = cut(&at, reach(k, ldt, n));
+                let b_in = cut(&b, reach(k, ldb, m));
+                let a_blk = block_of(&a, lda, n, c0, k);
+                let at_blk = block_of(&at, ldt, k, c0, n);
+                let b_blk = block_of(&b, ldb, k, c0, m);
+
+                under_tier(tier, || {
+                    let (mut want, mut got) = (vec![f32::NAN; n * m], vec![f32::NAN; n * m]);
+                    matmul_naive_into(&a_blk, &b_blk, &mut want, n, k, m);
+                    matmul_into(&a_blk, &b_blk, &mut got, n, k, m);
+                    assert_same_bits(&want, &got, &format!("nn vs naive ({tier})"), n, k, m);
+                    matmul_strided_into(&a_in, lda, &b_blk, &mut got, n, k, m);
+                    assert_same_bits(&want, &got, &format!("strided nn ({tier})"), n, k, m);
+
+                    matmul_tn_into(&at_blk, &b_blk, &mut want, n, k, m);
+                    matmul_tn_strided_into(&at_in, ldt, &b_in, ldb, &mut got, n, k, m);
+                    assert_same_bits(&want, &got, &format!("strided tn ({tier})"), n, k, m);
+
+                    matmul_nt_into(&a_blk, &bt, &mut want, n, k, m);
+                    matmul_nt_strided_into(&a_in, lda, &bt, &mut got, n, k, m);
+                    assert_same_bits(&want, &got, &format!("strided nt ({tier})"), n, k, m);
+                });
             }
-            // A zero-row operand is empty, so its block starts nowhere.
-            let from = |x: &[f32]| x.get(c0..).unwrap_or_default().to_vec();
-            let (a_in, at_in, b_in) = (from(&a), from(&at), from(&b));
-            let a_blk = block_of(&a, lda, n, c0, k);
-            let at_blk = block_of(&at, n + extra, k, c0, n);
-            let b_blk = block_of(&b, ldb, k, c0, m);
+        }
+    }
+}
 
-            let (mut want, mut got) = (vec![f32::NAN; n * m], vec![f32::NAN; n * m]);
-            matmul_into(&a_blk, &b_blk, &mut want, n, k, m);
-            matmul_strided_into(&a_in, lda, &b_blk, &mut got, n, k, m);
-            assert_same_bits(&want, &got, "strided nn", n, k, m);
+/// The one-column routes (lane dots for `nn`, `acc` and `nt`, the axpy
+/// for `tn`), the partial-tile `tn` products with 1–3 output rows and the
+/// `k = 1` outer product of `nt`, against the naive loop on the explicit
+/// transposes, under every tier at 1 and 4 threads. Some rows of `A` are
+/// all `±0.0` against negative weights (a dead ReLU): the naive loop skips
+/// every such term, so those outputs must be exactly `+0.0`.
+#[test]
+fn one_column_and_few_row_routes_match_the_naive_loop() {
+    let _l = lock();
+    let mut rng = StdRng::seed_from_u64(0x1C01);
+    // (n, k, m): one-column products on both sides of the threshold, with
+    // lane tails (n mod 16, n mod 8), chunk tails (k mod 16 below and
+    // above 8) and k = 1; tn outputs past a 64-wide strip; tn with 1–3
+    // rows; nt with k = 1 on both sides of the threshold.
+    let shapes: &[(usize, usize, usize)] = &[
+        (1640, 40, 1),
+        (1639, 40, 1),
+        (3001, 40, 1),
+        (4099, 17, 1),
+        (9363, 7, 1),
+        (2049, 33, 1),
+        (70001, 1, 1),
+        (40, 1700, 1),
+        (40, 1600, 1),
+        (70, 1100, 1),
+        (3, 1759, 60),
+        (2, 3000, 24),
+        (1, 4500, 17),
+        (1, 70, 40),
+        (3000, 1, 60),
+        (500, 1, 60),
+    ];
+    for tier in TIERS {
+        for threads in [1usize, 4] {
+            let _g = ThreadGuard::set(threads);
+            for &(n, k, m) in shapes {
+                let mut a = vec![0.0f32; n * k];
+                let mut b = vec![0.0f32; k * m];
+                adversarial_fill(&mut a, &mut rng);
+                adversarial_fill(&mut b, &mut rng);
+                // Dead rows: every term of these outputs is ±0.0.
+                let dead: Vec<usize> = (0..n).step_by(5).collect();
+                for &i in &dead {
+                    for (p, x) in a[i * k..(i + 1) * k].iter_mut().enumerate() {
+                        *x = if p % 2 == 0 { 0.0 } else { -0.0 };
+                    }
+                }
+                for x in b.iter_mut().step_by(2) {
+                    *x = -x.abs() - 0.5;
+                }
+                let mut want = vec![f32::NAN; n * m];
+                matmul_naive_into(&a, &b, &mut want, n, k, m);
+                for &i in &dead {
+                    for x in &want[i * m..(i + 1) * m] {
+                        assert_eq!(x.to_bits(), 0, "naive dead row {i} of {n}x{k}x{m}");
+                    }
+                }
+                under_tier(tier, || {
+                    let what = |op: &str| format!("{op} ({tier}, {threads} threads)");
+                    let mut got = vec![f32::NAN; n * m];
+                    matmul_into(&a, &b, &mut got, n, k, m);
+                    assert_same_bits(&want, &got, &what("nn"), n, k, m);
 
-            matmul_tn_into(&at_blk, &b_blk, &mut want, n, k, m);
-            matmul_tn_strided_into(&at_in, n + extra, &b_in, ldb, &mut got, n, k, m);
-            assert_same_bits(&want, &got, "strided tn", n, k, m);
+                    let k1 = k / 2;
+                    let a1 = block_of(&a, k, n, 0, k1);
+                    let a2 = block_of(&a, k, n, k1, k - k1);
+                    matmul_into(&a1, &b[..k1 * m], &mut got, n, k1, m);
+                    matmul_acc_into(&a2, &b[k1 * m..], &mut got, n, k - k1, m);
+                    assert_same_bits(&want, &got, &what("split acc"), n, k, m);
 
-            matmul_nt_into(&a_blk, &bt, &mut want, n, k, m);
-            matmul_nt_strided_into(&a_in, lda, &bt, &mut got, n, k, m);
-            assert_same_bits(&want, &got, "strided nt", n, k, m);
+                    let mut got = vec![f32::NAN; n * m];
+                    matmul_tn_into(&transposed(&a, n, k), &b, &mut got, n, k, m);
+                    assert_same_bits(&want, &got, &what("tn"), n, k, m);
+
+                    let mut got = vec![f32::NAN; n * m];
+                    matmul_nt_into(&a, &transposed(&b, k, m), &mut got, n, k, m);
+                    assert_same_bits(&want, &got, &what("nt"), n, k, m);
+                });
+            }
         }
     }
 }
