@@ -180,7 +180,6 @@ impl Baseline for Rgcn {
             // baselines; a gentler rate keeps the Adaption setting from
             // diverging.
             lr: 2e-3,
-            ..Default::default()
         }
         .run(&mut ps, |g, binds| {
             let pred = Self::forward(&state, g, binds, &sa_s, &sa_a);

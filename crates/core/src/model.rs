@@ -9,13 +9,14 @@ use siterec_geo::Period;
 use siterec_graphs::{HeteroGraph, SiteRecTask};
 use siterec_obs as obs;
 use siterec_sim::O2oDataset;
-use siterec_tensor::checkpoint::{self, ByteReader, ByteWriter, CheckpointPolicy, StateRef};
-use siterec_tensor::optim::{Adam, Optimizer};
+use siterec_tensor::checkpoint::{self, CheckpointPolicy};
 use siterec_tensor::{
-    record_recovery, record_train_error, retry_seed, ArenaStats, Bindings, Graph, Index,
-    ParamStore, RecoveryEvent, TapeArena, Tensor, TrainError, TrainGuard, Var,
+    decode_history, train_guarded, ArenaStats, Bindings, Graph, Index, ParamStore, RecoveryEvent,
+    TapeArena, Tensor, TrainError, TrainSpec, Var,
 };
 use std::sync::Arc;
+
+pub use siterec_tensor::TrainEpoch;
 
 /// Model name used in journal records (spans, `train_epoch`, `recovery`),
 /// in checkpoint metadata and in serving embedding-store images.
@@ -63,60 +64,11 @@ pub struct ServingExport {
     pub pred_b: Tensor,
 }
 
-/// Loss trace of one training epoch.
-#[derive(Debug, Clone, Copy)]
-pub struct TrainEpoch {
-    /// Epoch index.
-    pub epoch: usize,
-    /// Combined loss `O2 + β·O1`.
-    pub loss: f32,
-    /// Recommendation loss (MSE, Eq. 16).
-    pub o2: f32,
-    /// Capacity reconstruction loss (L1, Eq. 6).
-    pub o1: f32,
-    /// Cumulative guard recoveries performed before this epoch committed.
-    pub recoveries: usize,
-}
-
 /// Per-epoch tape seed: a pure function of `(config seed, epoch)`, never wall
 /// clock, so dropout masks — and hence every recovery decision downstream —
 /// replay identically across runs and thread counts.
 pub fn epoch_graph_seed(seed: u64, epoch: usize) -> u64 {
     seed ^ ((epoch as u64) << 1)
-}
-
-/// Encode the per-epoch loss trace as the checkpoint's opaque `user` payload.
-fn encode_history(hist: &[TrainEpoch]) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.usize(hist.len());
-    for e in hist {
-        w.usize(e.epoch);
-        w.f32(e.loss);
-        w.f32(e.o2);
-        w.f32(e.o1);
-        w.usize(e.recoveries);
-    }
-    w.into_bytes()
-}
-
-/// Decode a history payload written by [`encode_history`]. The payload sits
-/// behind the checkpoint's per-section CRC, so a decode failure here means a
-/// format bug, not disk corruption — the caller treats it as fatal.
-fn decode_history(bytes: &[u8]) -> Result<Vec<TrainEpoch>, checkpoint::ByteDecodeError> {
-    let mut r = ByteReader::new(bytes);
-    let n = r.usize()?;
-    let mut out = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        out.push(TrainEpoch {
-            epoch: r.usize()?,
-            loss: r.f32()?,
-            o2: r.f32()?,
-            o1: r.f32()?,
-            recoveries: r.usize()?,
-        });
-    }
-    r.finish()?;
-    Ok(out)
 }
 
 /// The full O²-SiteRec model (or one of its ablation variants).
@@ -249,30 +201,29 @@ impl O2SiteRec {
         g
     }
 
-    fn forward_losses(&self, g: &mut Graph) -> (Bindings, Var, Var, Var) {
-        let binds = self.ps.bind(g);
+    /// The Eq. 17 objective on the training batch: `O2 + β·O1`, `[O2, O1]`.
+    fn forward_losses(&self, g: &mut Graph, binds: &Bindings) -> (Var, [Var; 2]) {
         let (caps, o1) = match &self.capacity {
             Some(c) => {
-                let out = c.forward(g, &binds);
+                let out = c.forward(g, binds);
                 (Some(out.period_embeddings), out.o1)
             }
             None => (None, g.constant(Tensor::scalar(0.0))),
         };
         let pred = self
             .model
-            .forward(g, &binds, caps.as_deref(), &self.train_s, &self.train_a);
+            .forward(g, binds, caps.as_deref(), &self.train_s, &self.train_a);
         let o2 = g.mse_loss(pred, &self.train_targets);
         let o1_scaled = g.scale(o1, self.cfg.beta);
-        let loss = g.add(o2, o1_scaled);
-        (binds, loss, o2, o1)
+        (g.add(o2, o1_scaled), [o2, o1])
     }
 
     /// Full-batch training for `cfg.epochs` epochs with Adam (Eq. 17
     /// objective). Returns the loss trace.
     ///
-    /// Runs under the [`TrainGuard`] configured in `cfg.guard`; panics if the
-    /// recovery budget is exhausted — use [`Self::try_train`] to handle that
-    /// case structurally.
+    /// Runs under the [`TrainGuard`](siterec_tensor::TrainGuard) configured
+    /// in `cfg.guard`; panics if the recovery budget is exhausted — use
+    /// [`Self::try_train`] to handle that case structurally.
     pub fn train(&mut self) -> &[TrainEpoch] {
         self.try_train()
             .expect("training diverged beyond the guard's recovery budget");
@@ -287,7 +238,7 @@ impl O2SiteRec {
     /// surfaces as a [`TrainError`]. Healthy runs are bit-identical to the
     /// historical unguarded loop.
     pub fn try_train(&mut self) -> Result<&[TrainEpoch], TrainError> {
-        self.train_loop(None, &mut |_| {})
+        self.train_with(None, |_| {})
     }
 
     /// Durable guarded training: like [`Self::try_train`] but checkpointing
@@ -296,15 +247,16 @@ impl O2SiteRec {
     /// from it instead of starting at epoch 0.
     ///
     /// The checkpoint captures parameters, Adam moments, the full
-    /// [`TrainGuard`] state and the loss history, so a run killed at any
-    /// point — including mid-checkpoint-write — and resumed from disk
+    /// [`TrainGuard`](siterec_tensor::TrainGuard) state and the loss
+    /// history, so a run killed at any point — including
+    /// mid-checkpoint-write — and resumed from disk
     /// produces raw-`f32`-bit-identical final parameters and an identical
     /// recovery trace to an uninterrupted run.
     pub fn try_train_resumable(
         &mut self,
         policy: &CheckpointPolicy,
     ) -> Result<&[TrainEpoch], TrainError> {
-        self.train_loop(Some(policy), &mut |_| {})
+        self.train_with(Some(policy), |_| {})
     }
 
     /// [`Self::try_train_resumable`] with a per-epoch callback, invoked with
@@ -314,195 +266,47 @@ impl O2SiteRec {
     pub fn try_train_resumable_with(
         &mut self,
         policy: &CheckpointPolicy,
-        mut on_epoch: impl FnMut(usize),
+        on_epoch: impl FnMut(usize),
     ) -> Result<&[TrainEpoch], TrainError> {
-        self.train_loop(Some(policy), &mut on_epoch)
+        self.train_with(Some(policy), on_epoch)
     }
 
-    fn train_loop(
+    /// O²-SiteRec on the shared guarded loop ([`train_guarded`]).
+    fn train_with(
         &mut self,
-        ckpt: Option<&CheckpointPolicy>,
-        on_epoch: &mut dyn FnMut(usize),
+        checkpoint: Option<&CheckpointPolicy>,
+        on_epoch: impl FnMut(usize),
     ) -> Result<&[TrainEpoch], TrainError> {
-        let _span = obs::span!(
-            "train",
-            model = MODEL_NAME,
-            variant = format!("{:?}", self.cfg.variant),
-            seed = self.cfg.seed,
-            epochs = self.cfg.epochs,
-            simd = siterec_tensor::simd::tier().name(),
+        let variant = format!("{:?}", self.cfg.variant);
+        let spec = TrainSpec {
+            model: MODEL_NAME,
+            variant: Some(&variant),
+            seed: self.cfg.seed,
+            epochs: self.cfg.epochs,
+            lr: self.cfg.lr,
+            grad_clip: self.cfg.grad_clip,
+            guard: self.cfg.guard,
+            epoch_seed: epoch_graph_seed,
+            arena: self.cfg.arena.then_some(&self.arena),
+            checkpoint,
+        };
+        // The loop holds the parameters and the history while the step
+        // reads the rest of the model.
+        let mut ps = std::mem::replace(&mut self.ps, ParamStore::new(0));
+        let mut history = std::mem::take(&mut self.history);
+        let mut recoveries = Vec::new();
+        let result = train_guarded(
+            &spec,
+            &mut ps,
+            &mut history,
+            &mut recoveries,
+            |g, binds| self.forward_losses(g, binds),
+            on_epoch,
         );
-        let mut opt = Adam::new(self.cfg.lr);
-        let mut guard = TrainGuard::new(self.cfg.guard, &self.ps, &opt);
-        let mut epoch = 0;
-        if let Some(policy) = ckpt {
-            match checkpoint::load_latest(&policy.dir) {
-                Ok(Some(state)) if state.model == MODEL_NAME && state.seed == self.cfg.seed => {
-                    epoch = state.next_epoch;
-                    self.ps = state.params;
-                    opt = state.opt;
-                    guard = state.guard;
-                    self.history =
-                        decode_history(&state.user).expect("CRC-valid history payload decodes");
-                    obs::record!(
-                        "resume",
-                        model = MODEL_NAME,
-                        epoch = epoch,
-                        path = policy.dir.display().to_string(),
-                    );
-                    obs::counter_add("checkpoint.resumes", 1);
-                }
-                Ok(Some(other)) => {
-                    // A checkpoint for a different model/seed: starting fresh
-                    // is correct; silently continuing someone else's run is
-                    // not.
-                    obs::olog!(
-                        Summary,
-                        "ignoring checkpoint in {} (model {} seed {}, want {MODEL_NAME} seed {})",
-                        policy.dir.display(),
-                        other.model,
-                        other.seed,
-                        self.cfg.seed
-                    );
-                }
-                Ok(None) => {}
-                Err(e) => {
-                    // Unreadable directory: degrade to a fresh run rather
-                    // than failing training over telemetry-grade I/O.
-                    obs::olog!(
-                        Summary,
-                        "checkpoint dir {} unreadable ({e}); starting fresh",
-                        policy.dir.display()
-                    );
-                }
-            }
-        }
-        while epoch < self.cfg.epochs {
-            // One span per epoch, with forward/backward/step child spans:
-            // the Chrome-trace exporter (`siterec-ops trace`) turns these
-            // into the per-epoch timeline. Guards drop (and record) on the
-            // recovery `continue`s too, so retried epochs get their own
-            // spans.
-            let _epoch_span = obs::span!("train_epoch", epoch = epoch);
-            let base = epoch_graph_seed(self.cfg.seed, epoch);
-            let seed = retry_seed(base, guard.attempt(epoch));
-            let mut g = if self.cfg.arena {
-                Graph::with_seed_and_arena(seed, self.arena.clone())
-            } else {
-                Graph::with_seed(seed)
-            };
-            g.training = true;
-            let fwd_span = obs::span!("epoch.forward", epoch = epoch);
-            let (binds, loss, o2, o1) = self.forward_losses(&mut g);
-            let loss_v = g.value(loss).item();
-            drop(fwd_span);
-            if let Some(fault) = guard.pre_step_fault(&g, loss_v) {
-                match guard.recover(epoch, fault, &mut self.ps, &mut opt) {
-                    Ok(resume) => {
-                        if let Some(ev) = guard.events().last() {
-                            record_recovery(MODEL_NAME, self.cfg.seed, guard.attempt(resume), ev);
-                        }
-                        self.history.truncate(resume);
-                        epoch = resume;
-                        continue;
-                    }
-                    Err(e) => {
-                        record_train_error(MODEL_NAME, self.cfg.seed, &e);
-                        self.recoveries = guard.into_events();
-                        return Err(e);
-                    }
-                }
-            }
-            let rec = TrainEpoch {
-                epoch,
-                loss: loss_v,
-                o2: g.value(o2).item(),
-                o1: g.value(o1).item(),
-                recoveries: guard.events().len(),
-            };
-            let bwd_span = obs::span!("epoch.backward", epoch = epoch);
-            g.backward(loss);
-            self.ps.zero_grads();
-            self.ps.harvest(&g, &binds);
-            drop(bwd_span);
-            if let Some(fault) = guard.grad_fault(&self.ps) {
-                match guard.recover(epoch, fault, &mut self.ps, &mut opt) {
-                    Ok(resume) => {
-                        if let Some(ev) = guard.events().last() {
-                            record_recovery(MODEL_NAME, self.cfg.seed, guard.attempt(resume), ev);
-                        }
-                        self.history.truncate(resume);
-                        epoch = resume;
-                        continue;
-                    }
-                    Err(e) => {
-                        record_train_error(MODEL_NAME, self.cfg.seed, &e);
-                        self.recoveries = guard.into_events();
-                        return Err(e);
-                    }
-                }
-            }
-            let step_span = obs::span!("epoch.step", epoch = epoch);
-            if self.cfg.grad_clip > 0.0 {
-                self.ps.clip_grad_norm(self.cfg.grad_clip);
-            }
-            opt.step(&mut self.ps);
-            drop(step_span);
-            guard.commit(epoch, loss_v, &self.ps, &opt);
-            obs::record!(
-                "train_epoch",
-                model = MODEL_NAME,
-                epoch = rec.epoch,
-                loss = rec.loss,
-                o2 = rec.o2,
-                o1 = rec.o1,
-                recoveries = rec.recoveries,
-                arena_peak_mb = self.arena.stats().peak_bytes as f64 / (1 << 20) as f64,
-            );
-            obs::hist_record("train.loss", rec.loss as f64);
-            self.history.push(rec);
-            if let Some(policy) = ckpt {
-                if policy.due(epoch, self.cfg.epochs) {
-                    let history = encode_history(&self.history);
-                    let state = StateRef {
-                        model: MODEL_NAME,
-                        seed: self.cfg.seed,
-                        next_epoch: epoch + 1,
-                        params: &self.ps,
-                        opt: &opt,
-                        guard: &guard,
-                        user: &history,
-                    };
-                    if let Err(e) = checkpoint::save(policy, &state) {
-                        // Best-effort durability: a failed write only means a
-                        // future resume replays more epochs (bit-identically),
-                        // so log it and keep training.
-                        obs::olog!(
-                            Summary,
-                            "checkpoint write to {} failed ({e}); continuing",
-                            policy.dir.display()
-                        );
-                    }
-                }
-            }
-            on_epoch(epoch);
-            epoch += 1;
-        }
-        self.recoveries = guard.into_events();
-        Ok(&self.history)
-    }
-
-    /// Evaluation-mode losses on the training batch (diagnostic).
-    pub fn current_losses(&self) -> TrainEpoch {
-        let mut g = self.eval_graph();
-        let (_binds, loss, o2, o1) = self.forward_losses(&mut g);
-        TrainEpoch {
-            epoch: self.history.len(),
-            loss: g.value(loss).item(),
-            o2: g.value(o2).item(),
-            o1: g.value(o1).item(),
-            recoveries: self.recoveries.len(),
-        }
+        self.ps = ps;
+        self.history = history;
+        self.recoveries = recoveries;
+        result.map(|()| self.history.as_slice())
     }
 
     /// Predict normalized order counts for `(region, type)` pairs

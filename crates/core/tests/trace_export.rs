@@ -1,21 +1,30 @@
-//! Chrome-trace export over a real training run: every epoch's span (and
+//! Chrome-trace export over real training runs: every epoch's span (and
 //! its forward/backward/step children) must survive the journal → trace
-//! pipeline, and tracing must not move the training bits.
+//! pipeline, and tracing must not move the training bits. O²-SiteRec and a
+//! GNN baseline (GC-MC) train on the same loop, so both runs must pass.
 //!
 //! One `#[test]` fn: the obs recorder is process-global.
 
-use siterec_core::{O2SiteRec, SiteRecConfig};
+use siterec_baselines::{Baseline, GcMc, Setting};
+use siterec_core::{O2SiteRec, SiteRecConfig, MODEL_NAME};
 use siterec_graphs::SiteRecTask;
 use siterec_obs as obs;
+use siterec_obs::json::Json;
 use siterec_sim::{O2oDataset, SimConfig};
 
 const EPOCHS: usize = 4;
 
-fn train_once(enabled: bool) -> Vec<u32> {
+fn task(enabled: bool) -> (O2oDataset, SiteRecTask) {
     obs::reset();
     obs::set_enabled(enabled);
     let data = O2oDataset::generate(SimConfig::tiny(11));
     let task = SiteRecTask::build(&data, 0.8, 11);
+    (data, task)
+}
+
+/// O²-SiteRec's per-epoch loss bits.
+fn train_o2(enabled: bool) -> Vec<u32> {
+    let (data, task) = task(enabled);
     let cfg = SiteRecConfig {
         epochs: EPOCHS,
         seed: 11,
@@ -26,33 +35,78 @@ fn train_once(enabled: bool) -> Vec<u32> {
     model.history().iter().map(|e| e.loss.to_bits()).collect()
 }
 
-#[test]
-fn chrome_trace_covers_every_epoch() {
+/// GC-MC's test-split prediction bits.
+fn train_gcmc(enabled: bool) -> Vec<u32> {
+    let (_data, task) = task(enabled);
+    let mut model = GcMc::new(Setting::Adaption, 11);
+    model.set_epochs(EPOCHS);
+    model.fit(&task);
+    let pairs: Vec<(usize, usize)> = task.split.test.iter().map(|i| (i.region, i.ty)).collect();
+    let preds = model.predict(&task, &pairs);
+    preds.iter().map(|p| p.to_bits()).collect()
+}
+
+/// The sorted `epoch` fields of the journal's spans at `path`.
+fn span_epochs(records: &[Json], path: &str) -> Vec<f64> {
+    let mut epochs: Vec<f64> = records
+        .iter()
+        .filter(|r| r.get("type").and_then(Json::as_str) == Some("span"))
+        .filter(|r| r.get("path").and_then(Json::as_str) == Some(path))
+        .map(|r| r.get("epoch").and_then(Json::as_num).expect("epoch field"))
+        .collect();
+    epochs.sort_by(f64::total_cmp);
+    epochs
+}
+
+fn check_trace(model: &str, train: fn(bool) -> Vec<u32>) {
     // Baseline without the recorder, then the instrumented run: identical
-    // per-epoch loss bits (tracing observes, never feeds back).
-    let baseline = train_once(false);
-    let traced = train_once(true);
-    assert_eq!(baseline, traced, "epoch spans changed training bits");
+    // bits (tracing observes, never feeds back).
+    let baseline = train(false);
+    let traced = train(true);
+    assert_eq!(
+        baseline, traced,
+        "{model}: epoch spans changed training bits"
+    );
 
     let journal = obs::journal_to_string();
     obs::validate_journal(&journal).expect("journal validates");
+    let records: Vec<Json> = journal
+        .lines()
+        .map(|l| obs::json::parse(l).expect("journal line is JSON"))
+        .collect();
+
+    // One train_epoch span per epoch under `train`, each with one
+    // forward/backward/step child.
+    let all: Vec<f64> = (0..EPOCHS).map(|e| e as f64).collect();
+    for path in [
+        "train/train_epoch",
+        "train/train_epoch/epoch.forward",
+        "train/train_epoch/epoch.backward",
+        "train/train_epoch/epoch.step",
+    ] {
+        assert_eq!(span_epochs(&records, path), all, "{model}: {path}");
+    }
 
     // Each train_epoch record carries the tape arena's high-water mark,
     // which only grows: the pool keeps what the first epoch leased.
-    let peaks: Vec<f64> = journal
-        .lines()
-        .filter_map(|l| obs::json::parse(l).ok())
-        .filter(|r| r.get("type").and_then(|t| t.as_str()) == Some("train_epoch"))
+    let peaks: Vec<f64> = records
+        .iter()
+        .filter(|r| r.get("type").and_then(Json::as_str) == Some("train_epoch"))
+        .filter(|r| r.get("model").and_then(Json::as_str) == Some(model))
         .filter_map(|r| r.get("arena_peak_mb")?.as_num())
         .collect();
-    assert_eq!(peaks.len(), EPOCHS, "arena_peak_mb missing: {peaks:?}");
-    assert!(peaks[0] > 0.0, "{peaks:?}");
-    assert!(peaks.windows(2).all(|w| w[0] <= w[1]), "{peaks:?}");
+    assert_eq!(
+        peaks.len(),
+        EPOCHS,
+        "{model}: arena_peak_mb missing: {peaks:?}"
+    );
+    assert!(peaks[0] > 0.0, "{model}: {peaks:?}");
+    assert!(peaks.windows(2).all(|w| w[0] <= w[1]), "{model}: {peaks:?}");
 
     let chrome = obs::trace::chrome_trace_from_journal(&journal).expect("trace exports");
     let parsed = obs::json::parse(&chrome).expect("chrome trace is valid JSON");
     let events = match parsed.get("traceEvents") {
-        Some(obs::json::Json::Arr(events)) => events,
+        Some(Json::Arr(events)) => events,
         other => panic!("traceEvents missing or not an array: {other:?}"),
     };
     assert!(!events.is_empty(), "empty trace");
@@ -72,7 +126,7 @@ fn chrome_trace_covers_every_epoch() {
         assert_eq!(
             matching.len(),
             EPOCHS,
-            "expected one {name:?} event per epoch"
+            "{model}: expected one {name:?} event per epoch"
         );
         for e in matching {
             assert_eq!(e.get("ph").and_then(|p| p.as_str()), Some("X"));
@@ -95,24 +149,28 @@ fn chrome_trace_covers_every_epoch() {
         .collect();
     let mut sorted = epochs_seen.clone();
     sorted.sort_by(f64::total_cmp);
-    assert_eq!(
-        sorted,
-        (0..EPOCHS).map(|e| e as f64).collect::<Vec<_>>(),
-        "epoch args wrong: {epochs_seen:?}"
-    );
+    assert_eq!(sorted, all, "{model}: epoch args wrong: {epochs_seen:?}");
 
-    // The train span names the matmul tier that ran.
-    let simd: Vec<_> = events
+    // The train span names the model and the matmul tier that ran.
+    let train_args: Vec<_> = events
         .iter()
         .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some("train"))
-        .filter_map(|e| e.get("args")?.get("simd")?.as_str())
+        .filter_map(|e| e.get("args"))
         .collect();
+    let field = |k: &str| -> Vec<_> { train_args.iter().map(|a| a.get(k)?.as_str()).collect() };
+    assert_eq!(field("model"), [Some(model)], "train span model");
     assert_eq!(
-        simd,
-        [siterec_tensor::simd::tier().name()],
-        "train span simd"
+        field("simd"),
+        [Some(siterec_tensor::simd::tier().name())],
+        "{model}: train span simd"
     );
 
     obs::reset();
     obs::set_enabled(false);
+}
+
+#[test]
+fn chrome_trace_covers_every_epoch() {
+    check_trace(MODEL_NAME, train_o2);
+    check_trace("GC-MC", train_gcmc);
 }

@@ -13,21 +13,21 @@
 //! its reverse sweep has passed the node, and the gradient leases further
 //! down the same sweep reuse them; dropping the graph recycles the rest
 //! (leaves, and anything on a tape that never ran backward). The model's
-//! evaluation tapes (`predict`, serving export, diagnostic losses) lease
+//! evaluation tapes (`predict`, serving export) lease
 //! from the same pool, so evaluation reuses what training pooled instead
 //! of faulting in pages beside it.
 //!
 //! Lifecycle:
 //!
 //! ```text
-//!   O2SiteRec / TrainLoop owns: TapeArena ──────────────┐ (epoch-persistent)
-//!      epoch e:                                         │
+//!   O2SiteRec or TrainLoop::run owns: TapeArena ────────┐ (epoch-persistent)
+//!      train_guarded, epoch e:                          │
 //!        Graph::with_seed_and_arena(seed_e, arena) ◄────┤ lease on demand
 //!          forward values / scratch  ◄──────────────────┤   (zeroed)
 //!        backward(loss): node i passed ─────────────────┤ recycle value,
 //!          gradient leases  ◄───────────────────────────┤   payload, grad
 //!        drop(Graph) ───────────────────────────────────┤ recycle the rest
-//!      evaluation (predict / export / losses):          │
+//!      evaluation (predict / export):                   │
 //!        Graph::with_seed_and_arena(DEFAULT_SEED, ..) ◄─┤ lease
 //!        drop(Graph) ───────────────────────────────────┘ recycle all
 //! ```

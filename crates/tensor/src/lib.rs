@@ -102,7 +102,7 @@ pub use init::Init;
 pub use parallel::ParallelConfig;
 pub use param::{Bindings, Param, ParamId, ParamStore};
 pub use resilience::{
-    record_recovery, record_train_error, retry_seed, Fault, GuardConfig, RecoveryEvent, TrainError,
-    TrainGuard,
+    decode_history, encode_history, retry_seed, train_guarded, EpochRecord, Fault, GuardConfig,
+    RecoveryEvent, TrainEpoch, TrainError, TrainGuard, TrainSpec,
 };
 pub use tensor::Tensor;

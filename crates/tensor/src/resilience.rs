@@ -30,10 +30,17 @@
 //! bit-deterministic in (seed, epoch) — never wall clock — and the tensor
 //! kernels are bitwise thread-count invariant, so the recovery trace of a
 //! run is identical across repeats and thread counts.
+//!
+//! [`train_guarded`] is the one training loop built on the guard; a model
+//! supplies a [`TrainSpec`], its loss step and its [`EpochRecord`] type.
 
-use crate::graph::Graph;
-use crate::optim::Adam;
-use crate::param::ParamStore;
+use crate::arena::TapeArena;
+use crate::checkpoint::{
+    self, ByteDecodeError, ByteReader, ByteWriter, CheckpointPolicy, StateRef,
+};
+use crate::graph::{Graph, Var};
+use crate::optim::{Adam, Optimizer};
+use crate::param::{Bindings, ParamStore};
 use siterec_obs as obs;
 use std::fmt;
 
@@ -107,52 +114,6 @@ pub struct RecoveryEvent {
     pub lr_after: f32,
 }
 
-/// Emit a [`RecoveryEvent`] into the observability journal as a first-class
-/// `recovery` record, with enough context (model, seed, epoch, attempt) to
-/// re-run the failed cell standalone. The guard itself does not know the
-/// model name or run seed, so the training loop that owns them calls this
-/// right after a successful `TrainGuard::recover`. No-op when the recorder
-/// is disabled.
-pub fn record_recovery(model: &str, seed: u64, attempt: usize, event: &RecoveryEvent) {
-    if !obs::enabled() {
-        return;
-    }
-    let rollback = event.rollback_to.map_or(-1, |e| e as i64);
-    obs::record_fields(
-        "recovery",
-        vec![
-            ("model", obs::Value::from(model)),
-            ("seed", obs::Value::from(seed)),
-            ("epoch", obs::Value::from(event.epoch)),
-            ("attempt", obs::Value::from(attempt)),
-            ("fault", obs::Value::from(event.fault.to_string())),
-            ("rollback_to", obs::Value::Int(rollback)),
-            ("lr_before", obs::Value::from(event.lr_before)),
-            ("lr_after", obs::Value::from(event.lr_after)),
-        ],
-    );
-    obs::counter_add("train.recoveries", 1);
-}
-
-/// Emit a terminal [`TrainError`] into the observability journal as a
-/// `train_error` record. No-op when the recorder is disabled.
-pub fn record_train_error(model: &str, seed: u64, err: &TrainError) {
-    if !obs::enabled() {
-        return;
-    }
-    obs::record_fields(
-        "train_error",
-        vec![
-            ("model", obs::Value::from(model)),
-            ("seed", obs::Value::from(seed)),
-            ("epoch", obs::Value::from(err.epoch)),
-            ("recoveries", obs::Value::from(err.recoveries)),
-            ("fault", obs::Value::from(err.fault.to_string())),
-        ],
-    );
-    obs::counter_add("train.errors", 1);
-}
-
 /// Guardrail configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GuardConfig {
@@ -194,28 +155,8 @@ pub fn retry_seed(base: u64, attempt: usize) -> u64 {
 
 /// Per-epoch health monitor with checkpoint-rollback recovery.
 ///
-/// The guarded loop shape (see `O2SiteRec::try_train` and
-/// `TrainLoop::try_run`):
-///
-/// ```text
-/// let mut guard = TrainGuard::new(cfg, &ps, &opt);
-/// while epoch < epochs {
-///     let seed = retry_seed(epoch_seed, guard.attempt(epoch));
-///     ... forward on a fresh Graph ...
-///     if let Some(fault) = guard.pre_step_fault(&g, loss) {
-///         epoch = guard.recover(epoch, fault, &mut ps, &mut opt)?;
-///         history.truncate(epoch); continue;
-///     }
-///     ... backward + harvest ...
-///     if let Some(fault) = guard.grad_fault(&ps) {
-///         epoch = guard.recover(epoch, fault, &mut ps, &mut opt)?;
-///         history.truncate(epoch); continue;
-///     }
-///     ... clip + opt.step ...
-///     guard.commit(epoch, loss, &ps, &opt);
-///     epoch += 1;
-/// }
-/// ```
+/// [`train_guarded`] is the loop that drives it, for O²-SiteRec and the
+/// GNN baselines alike.
 #[derive(Debug, Clone)]
 pub struct TrainGuard {
     cfg: GuardConfig,
@@ -256,11 +197,6 @@ impl TrainGuard {
         }
     }
 
-    /// Current (possibly decayed) learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
     /// Retry attempt index for `epoch` (0 on the first try), for
     /// [`retry_seed`].
     pub fn attempt(&self, epoch: usize) -> usize {
@@ -274,11 +210,6 @@ impl TrainGuard {
     /// Recovery events performed so far.
     pub fn events(&self) -> &[RecoveryEvent] {
         &self.events
-    }
-
-    /// Consume the guard, returning the full recovery trace.
-    pub fn into_events(self) -> Vec<RecoveryEvent> {
-        self.events
     }
 
     /// Health check after the forward pass, before stepping: tape faults,
@@ -511,6 +442,322 @@ fn decode_event(
     })
 }
 
+/// One committed epoch of a training history, as [`train_guarded`] appends
+/// it and [`encode_history`] stores it; `N` counts the named loss parts the
+/// model's step returns beside its total loss.
+pub trait EpochRecord<const N: usize>: Sized {
+    /// Journal field names of the loss parts, in the step's order.
+    const PARTS: [&'static str; N];
+    /// The record of committed `epoch`: its loss, the values of its loss
+    /// parts, and the recoveries performed before it committed.
+    fn committed(epoch: usize, loss: f32, parts: [f32; N], recoveries: usize) -> Self;
+    /// Append this record to a history payload.
+    fn encode(&self, w: &mut ByteWriter);
+    /// Read one record written by [`Self::encode`].
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, ByteDecodeError>;
+}
+
+/// The GNN baselines' history: the loss of each epoch.
+impl EpochRecord<0> for f32 {
+    const PARTS: [&'static str; 0] = [];
+
+    fn committed(_epoch: usize, loss: f32, _parts: [f32; 0], _recoveries: usize) -> f32 {
+        loss
+    }
+
+    fn encode(&self, w: &mut ByteWriter) {
+        w.f32(*self);
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<f32, ByteDecodeError> {
+        r.f32()
+    }
+}
+
+/// O²-SiteRec's loss trace of one training epoch (Eq. 17).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TrainEpoch {
+    /// Epoch index.
+    pub epoch: usize,
+    /// Combined loss `O2 + β·O1`.
+    pub loss: f32,
+    /// Recommendation loss (MSE, Eq. 16).
+    pub o2: f32,
+    /// Capacity reconstruction loss (L1, Eq. 6).
+    pub o1: f32,
+    /// Cumulative guard recoveries performed before this epoch committed.
+    pub recoveries: usize,
+}
+
+impl EpochRecord<2> for TrainEpoch {
+    const PARTS: [&'static str; 2] = ["o2", "o1"];
+
+    fn committed(epoch: usize, loss: f32, [o2, o1]: [f32; 2], recoveries: usize) -> TrainEpoch {
+        TrainEpoch {
+            epoch,
+            loss,
+            o2,
+            o1,
+            recoveries,
+        }
+    }
+
+    fn encode(&self, w: &mut ByteWriter) {
+        w.usize(self.epoch);
+        w.f32(self.loss);
+        w.f32(self.o2);
+        w.f32(self.o1);
+        w.usize(self.recoveries);
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<TrainEpoch, ByteDecodeError> {
+        Ok(TrainEpoch {
+            epoch: r.usize()?,
+            loss: r.f32()?,
+            o2: r.f32()?,
+            o1: r.f32()?,
+            recoveries: r.usize()?,
+        })
+    }
+}
+
+/// A history as a checkpoint's `user` payload: its length, then each record.
+pub fn encode_history<R: EpochRecord<N>, const N: usize>(history: &[R]) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.usize(history.len());
+    history.iter().for_each(|rec| rec.encode(&mut w));
+    w.into_bytes()
+}
+
+/// Decode a payload written by [`encode_history`]. The payload sits behind
+/// the checkpoint's per-section CRC, so a decode failure means a format
+/// bug, not disk corruption.
+pub fn decode_history<R: EpochRecord<N>, const N: usize>(
+    bytes: &[u8],
+) -> Result<Vec<R>, ByteDecodeError> {
+    let mut r = ByteReader::new(bytes);
+    let n = r.usize()?;
+    let mut out = Vec::with_capacity(n.min(1 << 16));
+    for _ in 0..n {
+        out.push(R::decode(&mut r)?);
+    }
+    r.finish()?;
+    Ok(out)
+}
+
+/// What [`train_guarded`] needs to know about the model it trains.
+#[derive(Clone, Copy)]
+pub struct TrainSpec<'a> {
+    /// Model name in journal records and checkpoints.
+    pub model: &'a str,
+    /// Model variant, named by the `train` span (`None` leaves it out).
+    pub variant: Option<&'a str>,
+    /// Run seed, in checkpoints and the epoch tapes' seeds.
+    pub seed: u64,
+    /// Full-batch epochs.
+    pub epochs: usize,
+    /// Adam learning rate.
+    pub lr: f32,
+    /// Gradient-clip max norm (0 disables).
+    pub grad_clip: f32,
+    /// Recovery budget and thresholds.
+    pub guard: GuardConfig,
+    /// Tape seed of `(seed, epoch)` before [`retry_seed`].
+    pub epoch_seed: fn(u64, usize) -> u64,
+    /// Pool the epoch tapes lease from (`None`: they allocate).
+    pub arena: Option<&'a TapeArena>,
+    /// Checkpoint and resume policy (`None`: in memory only).
+    pub checkpoint: Option<&'a CheckpointPolicy>,
+}
+
+/// The guarded full-batch training loop with Adam.
+///
+/// Each epoch binds `ps` on a fresh tape and calls `step`, which returns
+/// the loss and its named parts (`R::PARTS`). A faulty epoch rolls back
+/// through the [`TrainGuard`], truncates `history` to the epoch the guard
+/// resumes at, and retries; a healthy one steps, commits, appends its
+/// record, checkpoints when due and calls `on_epoch(epoch)`. A checkpoint
+/// of the same model and seed in `spec.checkpoint`'s directory is resumed,
+/// raw-bit-identically to an uninterrupted run. `recoveries` receives the
+/// recovery trace, also when the budget runs out.
+pub fn train_guarded<R: EpochRecord<N>, const N: usize>(
+    spec: &TrainSpec<'_>,
+    ps: &mut ParamStore,
+    history: &mut Vec<R>,
+    recoveries: &mut Vec<RecoveryEvent>,
+    mut step: impl FnMut(&mut Graph, &Bindings) -> (Var, [Var; N]),
+    mut on_epoch: impl FnMut(usize),
+) -> Result<(), TrainError> {
+    let _span = train_span(spec);
+    let mut opt = Adam::new(spec.lr);
+    let mut guard = TrainGuard::new(spec.guard, ps, &opt);
+    let mut epoch = 0;
+    if let Some(policy) = spec.checkpoint {
+        match checkpoint::load_latest(&policy.dir) {
+            Ok(Some(state)) if state.model == spec.model && state.seed == spec.seed => {
+                epoch = state.next_epoch;
+                *ps = state.params;
+                opt = state.opt;
+                guard = state.guard;
+                *history = decode_history(&state.user).expect("CRC-valid history payload decodes");
+                obs::record!(
+                    "resume",
+                    model = spec.model,
+                    epoch = epoch,
+                    path = policy.dir.display().to_string(),
+                );
+                obs::counter_add("checkpoint.resumes", 1);
+            }
+            // Start fresh rather than continue someone else's run, or fail
+            // training over an unreadable directory.
+            Ok(Some(other)) => obs::olog!(
+                Summary,
+                "ignoring checkpoint in {} (model {} seed {}, want {} seed {})",
+                policy.dir.display(),
+                other.model,
+                other.seed,
+                spec.model,
+                spec.seed
+            ),
+            Ok(None) => {}
+            Err(e) => obs::olog!(
+                Summary,
+                "checkpoint dir {} unreadable ({e}); starting fresh",
+                policy.dir.display()
+            ),
+        }
+    }
+    let result = loop {
+        if epoch >= spec.epochs {
+            break Ok(());
+        }
+        // The span guards drop (and record) on the recovery `continue` too,
+        // so a retried epoch gets its own spans.
+        let _epoch_span = obs::span!("train_epoch", epoch = epoch);
+        let seed = retry_seed((spec.epoch_seed)(spec.seed, epoch), guard.attempt(epoch));
+        let mut g = match spec.arena {
+            Some(arena) => Graph::with_seed_and_arena(seed, arena.clone()),
+            None => Graph::with_seed(seed),
+        };
+        let fwd_span = obs::span!("epoch.forward", epoch = epoch);
+        let binds = ps.bind(&mut g);
+        let (loss, parts) = step(&mut g, &binds);
+        let loss_v = g.value(loss).item();
+        // Read before backward, which recycles forward values into the arena.
+        let parts = parts.map(|p| g.value(p).item());
+        drop(fwd_span);
+        let mut fault = guard.pre_step_fault(&g, loss_v);
+        if fault.is_none() {
+            let bwd_span = obs::span!("epoch.backward", epoch = epoch);
+            g.backward(loss);
+            ps.zero_grads();
+            ps.harvest(&g, &binds);
+            drop(bwd_span);
+            fault = guard.grad_fault(ps);
+        }
+        if let Some(fault) = fault {
+            match guard.recover(epoch, fault, ps, &mut opt) {
+                Ok(resume) => {
+                    // Enough context to re-run the failed cell standalone.
+                    let ev = guard.events().last().expect("a recovery records its event");
+                    obs::record!(
+                        "recovery",
+                        model = spec.model,
+                        seed = spec.seed,
+                        epoch = ev.epoch,
+                        attempt = guard.attempt(resume),
+                        fault = ev.fault.to_string(),
+                        rollback_to = ev.rollback_to.map_or(-1, |e| e as i64),
+                        lr_before = ev.lr_before,
+                        lr_after = ev.lr_after,
+                    );
+                    obs::counter_add("train.recoveries", 1);
+                    history.truncate(resume);
+                    epoch = resume;
+                    continue;
+                }
+                Err(e) => {
+                    obs::record!(
+                        "train_error",
+                        model = spec.model,
+                        seed = spec.seed,
+                        epoch = e.epoch,
+                        recoveries = e.recoveries,
+                        fault = e.fault.to_string(),
+                    );
+                    obs::counter_add("train.errors", 1);
+                    break Err(e);
+                }
+            }
+        }
+        let step_span = obs::span!("epoch.step", epoch = epoch);
+        if spec.grad_clip > 0.0 {
+            ps.clip_grad_norm(spec.grad_clip);
+        }
+        opt.step(ps);
+        drop(step_span);
+        guard.commit(epoch, loss_v, ps, &opt);
+        let rec = R::committed(epoch, loss_v, parts, guard.events().len());
+        if obs::enabled() {
+            let mut fields = Vec::with_capacity(N + 5);
+            fields.push(("model", obs::Value::from(spec.model)));
+            fields.push(("epoch", obs::Value::from(epoch)));
+            fields.push(("loss", obs::Value::from(loss_v)));
+            fields.extend(R::PARTS.into_iter().zip(parts.map(obs::Value::from)));
+            fields.push(("recoveries", obs::Value::from(guard.events().len())));
+            let peak_mb = spec.arena.map_or(0.0, |a| a.stats().peak_bytes as f64);
+            fields.push((
+                "arena_peak_mb",
+                obs::Value::from(peak_mb / (1 << 20) as f64),
+            ));
+            obs::record_fields("train_epoch", fields);
+        }
+        obs::hist_record("train.loss", loss_v as f64);
+        history.push(rec);
+        if let Some(policy) = spec.checkpoint.filter(|p| p.due(epoch, spec.epochs)) {
+            let payload = encode_history(history);
+            let state = StateRef {
+                model: spec.model,
+                seed: spec.seed,
+                next_epoch: epoch + 1,
+                params: ps,
+                opt: &opt,
+                guard: &guard,
+                user: &payload,
+            };
+            if let Err(e) = checkpoint::save(policy, &state) {
+                // Best-effort durability: a failed write only means a future
+                // resume replays more epochs (bit-identically), so log it and
+                // keep training.
+                obs::olog!(
+                    Summary,
+                    "checkpoint write to {} failed ({e}); continuing",
+                    policy.dir.display()
+                );
+            }
+        }
+        on_epoch(epoch);
+        epoch += 1;
+    };
+    *recoveries = guard.events;
+    result
+}
+
+/// The `train` span: model, variant (if any), seed, epochs and SIMD tier.
+fn train_span(spec: &TrainSpec<'_>) -> obs::SpanGuard {
+    if !obs::enabled() {
+        return obs::SpanGuard::disabled();
+    }
+    let mut fields = vec![("model", obs::Value::from(spec.model))];
+    if let Some(variant) = spec.variant {
+        fields.push(("variant", obs::Value::from(variant)));
+    }
+    fields.push(("seed", obs::Value::from(spec.seed)));
+    fields.push(("epochs", obs::Value::from(spec.epochs)));
+    fields.push(("simd", obs::Value::from(crate::simd::tier().name())));
+    obs::SpanGuard::enter("train", fields)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -697,5 +944,264 @@ mod tests {
         assert_eq!(guard.events().len(), 1);
         assert_eq!(guard.events()[0].epoch, 2);
         assert_eq!(guard.events()[0].rollback_to, Some(1));
+    }
+
+    /// A toy model on each history record, for [`train_guarded`]: `f32`
+    /// trains `(w - 2)²`; `TrainEpoch` adds `0.1·(w - 1)²` as its `o1`
+    /// part, the shape of the Eq. 17 objective.
+    trait Toy<const N: usize>: EpochRecord<N> {
+        fn step(g: &mut Graph, w: Var) -> (Var, [Var; N]);
+        fn loss(&self) -> f32;
+    }
+
+    impl Toy<0> for f32 {
+        fn step(g: &mut Graph, w: Var) -> (Var, [Var; 0]) {
+            (g.mse_loss(w, &Tensor::scalar(2.0)), [])
+        }
+
+        fn loss(&self) -> f32 {
+            *self
+        }
+    }
+
+    impl Toy<2> for TrainEpoch {
+        fn step(g: &mut Graph, w: Var) -> (Var, [Var; 2]) {
+            let o2 = g.mse_loss(w, &Tensor::scalar(2.0));
+            let o1 = g.mse_loss(w, &Tensor::scalar(1.0));
+            let o1_scaled = g.scale(o1, 0.1);
+            (g.add(o2, o1_scaled), [o2, o1])
+        }
+
+        fn loss(&self) -> f32 {
+            self.loss
+        }
+    }
+
+    fn toy_spec(model: &str, epochs: usize) -> TrainSpec<'_> {
+        TrainSpec {
+            model,
+            variant: None,
+            seed: 13,
+            epochs,
+            lr: 0.1,
+            grad_clip: 5.0,
+            guard: GuardConfig::default(),
+            epoch_seed: |seed, epoch| seed ^ ((epoch as u64) << 3),
+            arena: None,
+            checkpoint: None,
+        }
+    }
+
+    struct ToyRun<R> {
+        w: f32,
+        history: Vec<R>,
+        recoveries: Vec<RecoveryEvent>,
+        result: Result<(), TrainError>,
+    }
+
+    /// Train the toy from `w = 0` on a fresh store. `inject(call)` is
+    /// added to the loss of the `call`-th forward pass (from 1), if any.
+    fn toy_run<R: Toy<N>, const N: usize>(
+        spec: &TrainSpec<'_>,
+        inject: impl Fn(usize) -> Option<f32>,
+    ) -> ToyRun<R> {
+        let mut ps = ParamStore::new(5);
+        let w = ps.add("w", 1, 1, Init::Zeros);
+        let mut history = Vec::new();
+        let mut recoveries = Vec::new();
+        let mut calls = 0;
+        let result = train_guarded(
+            spec,
+            &mut ps,
+            &mut history,
+            &mut recoveries,
+            |g, binds| {
+                calls += 1;
+                let (loss, parts) = R::step(g, binds.var(w));
+                match inject(calls) {
+                    Some(x) => (g.add_scalar(loss, x), parts),
+                    None => (loss, parts),
+                }
+            },
+            |_| {},
+        );
+        ToyRun {
+            w: ps.get(w).value.item(),
+            history,
+            recoveries,
+            result,
+        }
+    }
+
+    fn scratch_dir(test: &str, n: usize) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("siterec_loop_{test}_{n}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn reduces_simple_loss<R: Toy<N>, const N: usize>() {
+        let run = toy_run::<R, N>(&toy_spec("toy", 60), |_| None);
+        run.result.unwrap();
+        let first = run.history[0].loss();
+        assert!(run.history.last().unwrap().loss() < first * 0.1);
+    }
+
+    #[test]
+    fn train_loop_reduces_simple_loss() {
+        reduces_simple_loss::<f32, 0>();
+        reduces_simple_loss::<TrainEpoch, 2>();
+    }
+
+    fn recovers_from_injected_fault<R: Toy<N>, const N: usize>() {
+        // Third forward pass (= epoch 2, attempt 0): poison the tape.
+        let run = toy_run::<R, N>(&toy_spec("toy", 10), |call| (call == 3).then_some(f32::NAN));
+        run.result.unwrap();
+        assert_eq!(run.history.len(), 10);
+        assert!(run.history.iter().all(|r| r.loss().is_finite()));
+        assert_eq!(run.recoveries.len(), 1);
+        assert_eq!(run.recoveries[0].epoch, 2);
+    }
+
+    #[test]
+    fn try_run_recovers_from_injected_fault() {
+        recovers_from_injected_fault::<f32, 0>();
+        recovers_from_injected_fault::<TrainEpoch, 2>();
+    }
+
+    fn resumable_matches_uninterrupted<R: Toy<N>, const N: usize>() {
+        let dir = scratch_dir("resume", N);
+        let policy = CheckpointPolicy::new(&dir);
+        let durable = |epochs| TrainSpec {
+            checkpoint: Some(&policy),
+            ..toy_spec("bl-resume-test", epochs)
+        };
+
+        // Uninterrupted reference.
+        let full = toy_run::<R, N>(&toy_spec("bl-resume-test", 10), |_| None);
+        full.result.unwrap();
+
+        // 5 epochs, then a fresh store resumes from disk to 10.
+        toy_run::<R, N>(&durable(5), |_| None).result.unwrap();
+        let resumed = toy_run::<R, N>(&durable(10), |_| None);
+        resumed.result.unwrap();
+
+        assert_eq!(full.history.len(), resumed.history.len());
+        assert_eq!(
+            encode_history(&full.history),
+            encode_history(&resumed.history)
+        );
+        assert_eq!(full.w.to_bits(), resumed.w.to_bits());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resumable_run_matches_uninterrupted_bits() {
+        resumable_matches_uninterrupted::<f32, 0>();
+        resumable_matches_uninterrupted::<TrainEpoch, 2>();
+    }
+
+    fn fails_structurally_when_budget_spent<R: Toy<N>, const N: usize>() {
+        let spec = TrainSpec {
+            guard: GuardConfig {
+                max_recoveries: 2,
+                ..Default::default()
+            },
+            ..toy_spec("toy", 4)
+        };
+        let run = toy_run::<R, N>(&spec, |_| Some(f32::INFINITY));
+        let err = run.result.unwrap_err();
+        assert_eq!(err.epoch, 0);
+        assert_eq!(err.recoveries, 2);
+        assert_eq!(run.recoveries.len(), 2, "the trace survives the error");
+    }
+
+    #[test]
+    fn try_run_fails_structurally_when_budget_spent() {
+        fails_structurally_when_budget_spent::<f32, 0>();
+        fails_structurally_when_budget_spent::<TrainEpoch, 2>();
+    }
+
+    fn recovery_then_resume<R: Toy<N>, const N: usize>() {
+        // The seventh forward pass (epoch 6, attempt 0) explodes, after
+        // checkpoints of epochs 0..=5 are on disk. An explosion blames the
+        // step committed at epoch 5, so the guard resumes at epoch 5 and
+        // the history must drop that epoch's record before redoing it.
+        let explode = |call| (call == 7).then_some(1e9);
+        let dir = scratch_dir("recover_resume", N);
+        let policy = CheckpointPolicy::new(&dir);
+        let durable = |epochs| TrainSpec {
+            checkpoint: Some(&policy),
+            ..toy_spec("toy", epochs)
+        };
+
+        let full = toy_run::<R, N>(&toy_spec("toy", 10), explode);
+        full.result.unwrap();
+        assert_eq!(full.recoveries.len(), 1);
+        assert_eq!(full.recoveries[0].epoch, 6);
+        assert_eq!(full.recoveries[0].rollback_to, Some(4), "resume at 5");
+        assert_eq!(full.history.len(), 10);
+
+        // The first process runs through the recovery to epoch 7; a second
+        // one resumes from its checkpoint and finishes.
+        let first = toy_run::<R, N>(&durable(7), explode);
+        first.result.unwrap();
+        assert_eq!(first.recoveries, full.recoveries);
+        let state = checkpoint::load_latest(&dir).unwrap().expect("checkpoint");
+        assert_eq!(state.next_epoch, 7);
+        let restored: Vec<R> = decode_history(&state.user).unwrap();
+        assert_eq!(restored.len(), 7, "history truncated at the resume epoch");
+        assert_eq!(
+            encode_history(&restored),
+            encode_history(&full.history[..7])
+        );
+
+        let resumed = toy_run::<R, N>(&durable(10), explode);
+        resumed.result.unwrap();
+        assert_eq!(resumed.recoveries, full.recoveries);
+        assert_eq!(
+            encode_history(&resumed.history),
+            encode_history(&full.history)
+        );
+        assert_eq!(full.w.to_bits(), resumed.w.to_bits());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recovery_after_a_checkpoint_resumes_to_the_same_bits() {
+        recovery_then_resume::<f32, 0>();
+        recovery_then_resume::<TrainEpoch, 2>();
+    }
+
+    #[test]
+    fn history_payloads_are_pinned() {
+        // The `user` section of every `SRCKPT1` checkpoint: a change here
+        // breaks resuming the checkpoints already on disk.
+        const LOSSES: [u8; 16] = [
+            2, 0, 0, 0, 0, 0, 0, 0, // two records
+            0x00, 0x00, 0xc0, 0x3f, // 1.5
+            0x00, 0x00, 0x80, 0xbe, // -0.25
+        ];
+        const EPOCHS: [u8; 36] = [
+            1, 0, 0, 0, 0, 0, 0, 0, // one record
+            3, 0, 0, 0, 0, 0, 0, 0, // epoch
+            0x00, 0x00, 0xc0, 0x3f, // loss 1.5
+            0x00, 0x00, 0xa0, 0x3f, // o2 1.25
+            0x00, 0x00, 0x20, 0x40, // o1 2.5
+            1, 0, 0, 0, 0, 0, 0, 0, // recoveries
+        ];
+        let losses = [1.5f32, -0.25];
+        assert_eq!(encode_history(&losses), LOSSES);
+        assert_eq!(decode_history::<f32, 0>(&LOSSES).unwrap(), losses);
+        let epochs = [TrainEpoch {
+            epoch: 3,
+            loss: 1.5,
+            o2: 1.25,
+            o1: 2.5,
+            recoveries: 1,
+        }];
+        assert_eq!(encode_history(&epochs), EPOCHS);
+        assert_eq!(decode_history::<TrainEpoch, 2>(&EPOCHS).unwrap(), epochs);
+        assert!(decode_history::<TrainEpoch, 2>(&EPOCHS[..35]).is_err());
     }
 }
